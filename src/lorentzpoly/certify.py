@@ -47,6 +47,25 @@ CHECK_HESSIANS = "hessian_spectra"
 # -- M-convexity ---------------------------------------------------------
 
 
+def _exchange_ok(support, alpha, beta, i) -> bool:
+    """Some j with alpha_j < beta_j has alpha - e_i + e_j and beta - e_j + e_i
+    both in ``support`` (0-based i)."""
+    for j in range(len(alpha)):
+        if alpha[j] >= beta[j]:
+            continue
+        moved_a = list(alpha)
+        moved_a[i] -= 1
+        moved_a[j] += 1
+        if tuple(moved_a) not in support:
+            continue
+        moved_b = list(beta)
+        moved_b[j] -= 1
+        moved_b[i] += 1
+        if tuple(moved_b) in support:
+            return True
+    return False
+
+
 def m_convex_failure(points):
     """First violation of the exchange axiom, or None when M-convex.
 
@@ -61,31 +80,14 @@ def m_convex_failure(points):
         if any(len(p) != n for p in pts):
             raise ValueError("mixed arity in support set")
     index = set(pts)
-
-    def exchange_ok(alpha, beta, i):
-        for j in range(len(alpha)):
-            if alpha[j] >= beta[j]:
-                continue
-            moved_a = list(alpha)
-            moved_a[i] -= 1
-            moved_a[j] += 1
-            if tuple(moved_a) not in index:
-                continue
-            moved_b = list(beta)
-            moved_b[j] -= 1
-            moved_b[i] += 1
-            if tuple(moved_b) in index:
-                return True
-        return False
-
     for a_pos, alpha in enumerate(pts):
         for beta in pts[a_pos + 1 :]:
             for i in range(len(alpha)):
                 if alpha[i] > beta[i]:
-                    if not exchange_ok(alpha, beta, i):
+                    if not _exchange_ok(index, alpha, beta, i):
                         return (alpha, beta, i + 1)
                 elif beta[i] > alpha[i]:
-                    if not exchange_ok(beta, alpha, i):
+                    if not _exchange_ok(index, beta, alpha, i):
                         return (beta, alpha, i + 1)
     return None
 
@@ -151,7 +153,8 @@ def _char_poly_int(rows) -> list:
     for k in range(1, n + 1):
         trace = sum(m_k[i][i] for i in range(n))
         c, rem = divmod(-trace, k)
-        assert rem == 0, "Faddeev-LeVerrier trace must divide exactly"
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace must divide exactly")
         coeffs[n - k] = c
         if k == n:
             break
@@ -414,18 +417,7 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
         i = index - 1
         if alpha not in support or beta not in support or alpha[i] <= beta[i]:
             return False
-        for j in range(len(alpha)):
-            if alpha[j] >= beta[j]:
-                continue
-            moved_a = list(alpha)
-            moved_a[i] -= 1
-            moved_a[j] += 1
-            moved_b = list(beta)
-            moved_b[j] -= 1
-            moved_b[i] += 1
-            if tuple(moved_a) in support and tuple(moved_b) in support:
-                return False
-        return True
+        return not _exchange_ok(support, alpha, beta, i)
     if isinstance(failure, HessianFailure):
         derivative = poly
         for index in failure.multiset:
@@ -522,19 +514,18 @@ def root_direction_violations(poly: Polynomial):
     return violations
 
 
-# -- advisory numeric check ------------------------------------------------
+# -- log-concavity spot check ----------------------------------------------
 
 
 def numeric_log_concavity_spot(poly: Polynomial, points, tol: float = 1e-8) -> bool:
-    """Numerically test concavity of log(h) at strictly positive points.
+    """Test concavity of log(h) at strictly positive points, exactly.
 
-    The Hessian of log h is assembled exactly as (h * H(h) - grad grad^T) / h^2
-    with rational arithmetic, then its eigenvalues are taken in floating
-    point and compared against ``tol``.  Advisory only; never a
-    certification path.
+    At a point where h > 0 the Hessian of log h is (h H(h) - grad grad^T) / h^2,
+    so it has the inertia of the rational matrix h H(h) - grad grad^T; the
+    test fails at the first point where that matrix has a positive
+    eigenvalue.  ``tol`` is unused and kept for existing callers.  Advisory
+    only; never a certification path.
     """
-    import numpy as np
-
     if not poly:
         raise ValueError("polynomial must be nonzero")
     n = poly.arity
@@ -547,18 +538,13 @@ def numeric_log_concavity_spot(poly: Polynomial, points, tol: float = 1e-8) -> b
         if any(v <= 0 for v in point):
             raise ValueError("points must be strictly positive")
         value = poly.evaluate(point)
-        assert value > 0, "nonzero nonnegative polynomial is positive on the open orthant"
+        if value <= 0:
+            raise ValueError(f"polynomial is not positive at ({', '.join(map(str, point))})")
         grad = [g.evaluate(point) for g in grads]
-        matrix = np.array(
-            [
-                [
-                    float(hess[i][j].evaluate(point) / value - grad[i] * grad[j] / value**2)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+        matrix = SymmetricMatrix(
+            [[value * hess[i][j].evaluate(point) - grad[i] * grad[j] for j in range(n)]
+             for i in range(n)]
         )
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        if eigenvalues[-1] > tol:
+        if inertia(matrix).positive > 0:
             return False
     return True

@@ -32,27 +32,19 @@ from .polynomials import (
 )
 from .schubert import (
     Permutation,
-    degree_polynomial,
     grassmannian_for,
     grothendieck,
-    homogeneous_grothendieck,
     key_polynomial,
     schubert,
-    schubert_dual,
 )
 from .symmetric import (
     Partition,
-    SkewShape,
-    StrictPartition,
     complement_partition,
     complete_homogeneous,
     kostka,
     schur,
-    schur_p,
-    skew_schur,
-    verma_truncated_normalized,
 )
-from .sweeps import SweepBounds, SweepCapError, SweepSpec, run_sweep
+from .sweeps import FAMILY_TABLE, SweepBounds, SweepCapError, SweepSpec, run_sweep
 from . import univariate
 
 USAGE_ERROR = 2
@@ -70,55 +62,33 @@ class UsageError(ValueError):
     """Bad command line arguments."""
 
 
+# How ``lorentz gen`` reads each flag that can be part of an instance payload.
+_PAYLOAD_READERS = {
+    "lambda": _parse_int_list,
+    "inner": _parse_int_list,
+    "mu": _parse_int_list,
+    "delta": _parse_int_list,
+    "vars": int,
+    "w": lambda text: Permutation.from_string(text).one_line,
+}
+
+
 def _generate(args) -> Polynomial:
-    family = args.family
-    if args.component is not None and family != "grothendieck":
+    if args.component is not None and args.family != "grothendieck":
         raise UsageError("--component only applies to the grothendieck family")
-    if family == "schur":
-        if args.lam is None or args.vars is None:
-            raise UsageError("--lambda and --vars are required for schur")
-        poly = schur(Partition(_parse_int_list(args.lam)), args.vars)
-    elif family == "skew":
-        if args.lam is None or args.vars is None:
-            raise UsageError("--lambda and --vars are required for skew")
-        shape = SkewShape(
-            Partition(_parse_int_list(args.lam)),
-            Partition(_parse_int_list(args.inner or "")),
-        )
-        poly = skew_schur(shape, args.vars)
-    elif family == "schur_p":
-        if args.lam is None or args.vars is None:
-            raise UsageError("--lambda and --vars are required for schur_p")
-        poly = schur_p(StrictPartition(_parse_int_list(args.lam)), args.vars)
-    elif family == "key":
-        if args.mu is None:
-            raise UsageError("--mu is required for key")
-        poly = key_polynomial(_parse_int_list(args.mu))
-    elif family == "verma":
-        if args.delta is None:
-            raise UsageError("--delta is required for verma")
-        poly = verma_truncated_normalized(_parse_int_list(args.delta))
-    elif family in ("schubert", "schubert_dual", "grothendieck",
-                    "grothendieck_homog", "degree"):
-        if args.w is None:
-            raise UsageError(f"--w is required for {family}")
-        w = Permutation.from_string(args.w)
-        if family == "schubert":
-            poly = schubert(w)
-        elif family == "schubert_dual":
-            poly = schubert_dual(w)
-        elif family == "grothendieck":
-            poly = grothendieck(w)
-            if args.component is not None:
-                poly = poly.homogeneous_component(w.length() + args.component)
-        elif family == "grothendieck_homog":
-            poly = homogeneous_grothendieck(w)
-        else:
-            poly = degree_polynomial(w)
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    if args.component is not None and family != "grothendieck":
-        raise UsageError("--component only applies to the grothendieck family")
+    family = FAMILY_TABLE.get(args.family)
+    if family is None:
+        raise UsageError(f"unknown family {args.family!r}")
+    values = [getattr(args, flag) for flag in family.gen_flags]
+    if None in values:
+        # --inner has a default, so it is never required
+        required = [f"--{flag}" for flag in family.gen_flags if flag != "inner"]
+        verb = "is" if len(required) == 1 else "are"
+        raise UsageError(f"{' and '.join(required)} {verb} required for {args.family}")
+    payload = tuple(_PAYLOAD_READERS[flag](v) for flag, v in zip(family.gen_flags, values))
+    poly = family.generate(payload)
+    if args.component is not None:  # grothendieck, whose payload is (w,)
+        poly = poly.homogeneous_component(Permutation(payload[0]).length() + args.component)
     if args.normalize:
         poly = normalize(poly)
     if args.scale is not None:
@@ -314,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="print a family polynomial in the text format")
     gen.add_argument("--family", required=True)
-    gen.add_argument("--lambda", dest="lam", help="partition, e.g. 3,1,1")
-    gen.add_argument("--inner", help="inner partition for skew shapes")
+    gen.add_argument("--lambda", metavar="LAM", help="partition, e.g. 3,1,1")
+    gen.add_argument("--inner", default="", help="inner partition for skew shapes")
     gen.add_argument("--mu", help="composition for key polynomials")
     gen.add_argument("--w", help="permutation in one-line notation, e.g. 1432")
     gen.add_argument("--delta", help="shift vector for verma, e.g. 1,1")

@@ -126,5 +126,6 @@ def inertia_by_sturm_bracketing(matrix: SymmetricMatrix) -> InertiaSignature:
             pos, neg = _bracket_sign_counts(factor)
             positive += multiplicity * pos
             negative += multiplicity * neg
-    assert positive + negative + zero == n, "all eigenvalues of a symmetric matrix are real"
+    if positive + negative + zero != n:
+        raise ArithmeticError("all eigenvalues of a symmetric matrix must be real")
     return InertiaSignature(positive, negative, zero)

@@ -145,7 +145,8 @@ def grassmannian_for(kappa, m: int, n: int) -> Permutation:
         raise ValueError(f"need n >= {m + parts[0]}, got {n}")
     code = tuple(parts[m - 1 - i] for i in range(m)) + (0,) * (n - m)
     w = permutation_from_code(code)
-    assert all(d == m for d in w.descents())
+    if any(d != m for d in w.descents()):
+        raise ValueError(f"kappa={parts} is not a partition")
     return w
 
 

@@ -3,17 +3,13 @@
 A sweep names a polynomial family, a mode, and size bounds.  Modes:
 
 * ``certify``       - run the Lorentzian certifier on the family's
-                      certification target (the normalized polynomial for
-                      the Schur, skew, P-, Schubert, Grothendieck and key
-                      families; the reflected-normalized polynomial for
-                      ``schubert_dual``; the raw polynomial for ``degree``
-                      and ``verma``, which are produced ready to check).
+                      certification targets (``Family.targets``).
 * ``support_only``  - check M-convexity of the raw support.
 * ``inequality``    - check coefficient log-concavity along every root
                       direction e_i - e_j through the raw coefficients.
 
-Bounds are capped (n <= 8, boxes <= 14) so every sweep terminates at desk
-scale.  Reports are deterministic apart from the wall-time field; each
+Each family is one ``Family`` record in ``FAMILY_TABLE``.  Bounds are
+capped (n <= 8, boxes <= 14) so every sweep terminates at desk scale.  Reports are deterministic apart from the wall-time field; each
 failure carries a self-contained reproduction command.
 """
 
@@ -21,16 +17,15 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .certify import (
-    is_m_convex,
     lorentzian_certify,
     m_convex_failure,
     root_direction_violations,
 )
-from .polynomials import Polynomial, normalize
+from .polynomials import normalize
 from .schubert import (
     Permutation,
     all_permutations,
@@ -51,18 +46,6 @@ from .symmetric import (
     verma_truncated_normalized,
 )
 
-FAMILIES = (
-    "schur",
-    "skew",
-    "schur_p",
-    "schubert",
-    "schubert_dual",
-    "grothendieck",
-    "grothendieck_homog",
-    "key",
-    "degree",
-    "verma",
-)
 MODES = ("certify", "support_only", "inequality")
 
 CAP_N = 8
@@ -203,127 +186,151 @@ def _fmt(seq) -> str:
     return ",".join(str(x) for x in seq)
 
 
-def _require(value, name, cap):
+def _require(value, name, low, cap):
     if value is None:
         raise SweepCapError(f"bound {name!r} is required for this family")
-    if value < 0 or value > cap:
-        raise SweepCapError(f"bound {name}={value} outside 0..{cap}")
+    if value < low or value > cap:
+        raise SweepCapError(f"bound {name}={value} outside {low}..{cap}")
     return value
 
 
-def _instances(spec: SweepSpec):
-    """Yield (instance_id, payload) pairs; payloads are picklable primitives."""
-    family = spec.family
-    bounds = spec.bounds
-    if family in ("schur", "skew"):
-        boxes = _require(bounds.boxes, "boxes", CAP_BOXES)
-        parts = _require(bounds.parts, "parts", CAP_BOXES)
-        nvars = _require(bounds.vars, "vars", CAP_VARS)
-        for lam in partitions_within(boxes, parts):
-            inners = [Partition()] if family == "schur" else list(subpartitions(lam))
-            for inner in inners:
-                for m in range(1, nvars + 1):
-                    if family == "schur":
-                        yield f"lambda={_fmt(lam.parts)}|m={m}", (lam.parts, m)
-                    else:
-                        yield (
-                            f"lambda={_fmt(lam.parts)}/nu={_fmt(inner.parts)}|m={m}",
-                            (lam.parts, inner.parts, m),
-                        )
-    elif family == "schur_p":
-        max_part = _require(bounds.max_part, "max_part", CAP_BOXES)
-        parts = _require(bounds.parts, "parts", CAP_BOXES)
-        nvars = _require(bounds.vars, "vars", CAP_VARS)
-        for lam in strict_partitions_within(max_part, parts):
-            for m in range(1, nvars + 1):
-                yield f"lambda={_fmt(lam.parts)}|m={m}", (lam.parts, m)
-    elif family == "key":
-        boxes = _require(bounds.boxes, "boxes", CAP_BOXES)
-        parts = _require(bounds.parts, "parts", CAP_VARS)
-        for mu in compositions_within(boxes, parts):
-            yield f"mu={_fmt(mu)}", (mu,)
-    elif family in ("schubert", "schubert_dual", "grothendieck",
-                    "grothendieck_homog", "degree"):
-        n = _require(bounds.n, "n", CAP_N)
-        for w in all_permutations(n):
-            yield f"w={''.join(str(v) for v in w.one_line)}", (w.one_line,)
-    elif family == "verma":
-        nvars = _require(bounds.vars, "vars", CAP_VARS)
-        delta_cap = _require(bounds.delta, "delta", CAP_DELTA)
+def _shape_instances(shapes, nvars):
+    for lam in shapes:
         for m in range(1, nvars + 1):
-            for delta in itertools.product(range(delta_cap + 1), repeat=m):
-                yield f"delta={_fmt(delta)}", (delta,)
-    else:  # pragma: no cover
-        raise AssertionError(family)
+            yield f"lambda={_fmt(lam.parts)}|m={m}", (lam.parts, m)
 
 
-def _raw_polynomial(family: str, payload) -> Polynomial:
-    if family == "schur":
-        lam, m = payload
-        return schur(Partition(lam), m)
-    if family == "skew":
-        lam, inner, m = payload
-        return skew_schur(SkewShape(Partition(lam), Partition(inner)), m)
-    if family == "schur_p":
-        lam, m = payload
-        return schur_p(StrictPartition(lam), m)
-    if family == "key":
-        (mu,) = payload
-        return key_polynomial(mu)
-    if family == "schubert":
-        return schubert(Permutation(payload[0]), _process_cache())
-    if family == "schubert_dual":
-        return schubert_dual(Permutation(payload[0]), _process_cache())
-    if family == "grothendieck":
-        return grothendieck(Permutation(payload[0]), _grothendieck_cache())
-    if family == "grothendieck_homog":
-        return homogeneous_grothendieck(Permutation(payload[0]), _grothendieck_cache())
-    if family == "degree":
-        return degree_polynomial(Permutation(payload[0]))
-    if family == "verma":
-        (delta,) = payload
-        return verma_truncated_normalized(delta)
-    raise AssertionError(family)
+def _skew_instances(boxes, parts, nvars):
+    for lam in partitions_within(boxes, parts):
+        for inner in subpartitions(lam):
+            for m in range(1, nvars + 1):
+                yield (
+                    f"lambda={_fmt(lam.parts)}/nu={_fmt(inner.parts)}|m={m}",
+                    (lam.parts, inner.parts, m),
+                )
 
 
-def _certify_targets(family: str, payload):
-    """(label, polynomial) pairs the certify mode must pass."""
-    if family in ("schur", "skew", "schur_p", "key", "grothendieck_homog"):
-        return [("normalized", normalize(_raw_polynomial(family, payload)))]
-    if family == "schubert":
-        return [
-            ("normalized", normalize(schubert(Permutation(payload[0]), _process_cache())))
-        ]
-    if family == "schubert_dual":
-        return [("dual", schubert_dual(Permutation(payload[0]), _process_cache()))]
-    if family == "grothendieck":
-        w = Permutation(payload[0])
-        g = grothendieck(w, _grothendieck_cache())
-        ell = w.length()
-        d = g.total_degree() if g else ell
-        return [
-            (
-                f"component k={k}",
-                normalize(g.homogeneous_component(ell + k)) * ((-1) ** k),
-            )
-            for k in range(0, d - ell + 1)
-        ]
-    if family in ("degree", "verma"):
-        return [("raw", _raw_polynomial(family, payload))]
-    raise AssertionError(family)
+def _key_instances(boxes, parts):
+    for mu in compositions_within(boxes, parts):
+        yield f"mu={_fmt(mu)}", (mu,)
+
+
+def _permutation_instances(n):
+    for w in all_permutations(n):
+        yield f"w={''.join(str(v) for v in w.one_line)}", (w.one_line,)
+
+
+def _verma_instances(nvars, delta_cap):
+    for m in range(1, nvars + 1):
+        for delta in itertools.product(range(delta_cap + 1), repeat=m):
+            yield f"delta={_fmt(delta)}", (delta,)
+
+
+def _normalized(payload, raw):
+    return [("normalized", normalize(raw))]
+
+
+def _signed_components(payload, raw):
+    """The normalized homogeneous components of a Grothendieck polynomial,
+    component k = 0, 1, ... above degree l(w) multiplied by (-1)^k."""
+    ell = Permutation(payload[0]).length()
+    top = raw.total_degree() if raw else ell
+    return [
+        (f"component k={k}", normalize(raw.homogeneous_component(ell + k)) * ((-1) ** k))
+        for k in range(0, top - ell + 1)
+    ]
 
 
 # Per-process memo tables for the divided-difference recursions; inserts
 # are idempotent, so concurrent workers each filling their own copy agree.
-_CACHES: dict = {}
+_CACHES = {"schubert": {}, "grothendieck": {}}
 
 
-def _process_cache() -> dict:
-    return _CACHES.setdefault("schubert", {})
+@dataclass(frozen=True)
+class Family:
+    """Everything the sweep and ``lorentz gen`` know about one family.
+
+    ``bounds`` lists (bound, least, cap) in the order they are checked;
+    ``instances`` takes their values and yields (instance_id, payload)
+    pairs.  ``gen_flags`` are the ``lorentz gen`` flags whose values, in
+    order, form a payload.  ``generate`` maps a payload to the raw
+    polynomial and ``targets(payload, raw)`` gives the (label, polynomial)
+    pairs the certify mode must pass.  Generators name the functions they
+    call at call time, so wrapping a module attribute reaches them.
+    """
+
+    bounds: tuple
+    instances: Callable
+    gen_flags: tuple
+    generate: Callable
+    targets: Callable = _normalized
 
 
-def _grothendieck_cache() -> dict:
-    return _CACHES.setdefault("grothendieck", {})
+_PARTITION_BOUNDS = (("boxes", 0, CAP_BOXES), ("parts", 0, CAP_BOXES), ("vars", 1, CAP_VARS))
+_PERMUTATION_BOUNDS = (("n", 1, CAP_N),)
+
+# Family(bounds, instances, gen_flags, generate[, targets]) per family.
+FAMILY_TABLE = {
+    "schur": Family(
+        _PARTITION_BOUNDS,
+        lambda boxes, parts, nvars: _shape_instances(partitions_within(boxes, parts), nvars),
+        ("lambda", "vars"),
+        lambda p: schur(Partition(p[0]), p[1]),
+    ),
+    "skew": Family(
+        _PARTITION_BOUNDS, _skew_instances, ("lambda", "inner", "vars"),
+        lambda p: skew_schur(SkewShape(Partition(p[0]), Partition(p[1])), p[2]),
+    ),
+    "schur_p": Family(
+        (("max_part", 0, CAP_BOXES), ("parts", 0, CAP_BOXES), ("vars", 1, CAP_VARS)),
+        lambda top, parts, nvars: _shape_instances(strict_partitions_within(top, parts), nvars),
+        ("lambda", "vars"),
+        lambda p: schur_p(StrictPartition(p[0]), p[1]),
+    ),
+    "schubert": Family(
+        _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
+        lambda p: schubert(Permutation(p[0]), _CACHES["schubert"]),
+    ),
+    "schubert_dual": Family(
+        _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
+        lambda p: schubert_dual(Permutation(p[0]), _CACHES["schubert"]),
+        lambda payload, raw: [("dual", raw)],
+    ),
+    "grothendieck": Family(
+        _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
+        lambda p: grothendieck(Permutation(p[0]), _CACHES["grothendieck"]),
+        _signed_components,
+    ),
+    "grothendieck_homog": Family(
+        _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
+        lambda p: homogeneous_grothendieck(Permutation(p[0]), _CACHES["grothendieck"]),
+    ),
+    "key": Family(
+        (("boxes", 0, CAP_BOXES), ("parts", 1, CAP_VARS)), _key_instances, ("mu",),
+        lambda p: key_polynomial(p[0]),
+    ),
+    "degree": Family(
+        _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
+        lambda p: degree_polynomial(Permutation(p[0])),
+        lambda payload, raw: [("raw", raw)],
+    ),
+    "verma": Family(
+        (("vars", 1, CAP_VARS), ("delta", 0, CAP_DELTA)), _verma_instances, ("delta",),
+        lambda p: verma_truncated_normalized(p[0]),
+        lambda payload, raw: [("raw", raw)],
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+def _instances(spec: SweepSpec):
+    """(instance_id, payload) pairs; payloads are picklable primitives."""
+    family = FAMILY_TABLE[spec.family]
+    values = [
+        _require(getattr(spec.bounds, name), name, low, cap)
+        for name, low, cap in family.bounds
+    ]
+    return family.instances(*values)
 
 
 def _repro_command(spec: SweepSpec, instance_id: str) -> str:
@@ -340,8 +347,10 @@ def _repro_command(spec: SweepSpec, instance_id: str) -> str:
 
 def _check_instance(spec: SweepSpec, instance_id: str, payload):
     """Return a failure dict or None."""
+    family = FAMILY_TABLE[spec.family]
+    raw = family.generate(payload)
     if spec.mode == "certify":
-        for label, target in _certify_targets(spec.family, payload):
+        for label, target in family.targets(payload, raw):
             certificate = lorentzian_certify(target)
             if not certificate.is_lorentzian:
                 return {
@@ -352,7 +361,6 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
                     "repro": _repro_command(spec, instance_id),
                 }
         return None
-    raw = _raw_polynomial(spec.family, payload)
     if spec.mode == "support_only":
         witness = m_convex_failure(raw.terms)
         if witness is not None:
@@ -406,6 +414,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> Swe
         for instance_id, payload in _instances(spec)
         if only is None or only in instance_id
     ]
+    if not instances:
+        raise ValueError(f"--only {only!r} matches no instance of this sweep")
     failures = []
     if jobs <= 1:
         for instance_id, payload in instances:

@@ -299,3 +299,15 @@ class TestNumericSpot:
     def test_rejects_nonpositive_point(self):
         with pytest.raises(ValueError):
             numeric_log_concavity_spot(poly("vars: 2\nx1 x2"), [(0, 1)])
+
+    def test_rejects_nonpositive_value(self):
+        # a raise, not an assert, so it also holds under python -O
+        with pytest.raises(ValueError):
+            numeric_log_concavity_spot(poly("vars: 2\nx1 - 2 x2"), [(1, 1)])
+
+    def test_exact_below_any_tolerance(self):
+        # x1^2 + (2 - 10^-12) x1 x2 + x2^2 is positive definite, so log h has
+        # a positive Hessian eigenvalue, far below 1e-8 at (1, 1)
+        b = 2 - Fraction(1, 10**12)
+        h = Polynomial(2, {(2, 0): 1, (1, 1): b, (0, 2): 1})
+        assert not numeric_log_concavity_spot(h, [(1, 1)], tol=1e-8)

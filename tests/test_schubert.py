@@ -312,6 +312,11 @@ class TestGrassmannianAndPatterns:
         with pytest.raises(ValueError):
             grassmannian_for(Partition((3,)), 2, 4)
 
+    def test_non_partition_rejected(self):
+        # code (2, 1, 0, 0) has descents at 1 and 2; raised, not asserted
+        with pytest.raises(ValueError):
+            grassmannian_for((1, 2), 2, 4)
+
     def test_short_permutations_avoid_long_patterns(self):
         for n in (1, 2, 3):
             for w in all_permutations(n):

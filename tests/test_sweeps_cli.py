@@ -248,3 +248,39 @@ class TestCorpus:
         results = corpus.verify(root=tmp_path)
         entry = [r for r in results if r[0] == "grothendieck-132.poly"][0]
         assert not entry[1] and "parse error" in entry[2]
+
+
+class TestEmptyOrUnusableSweeps:
+    """A sweep that would check nothing exits 2 and names the flag."""
+
+    def test_only_matching_nothing_raises(self):
+        with pytest.raises(ValueError, match="--only"):
+            run_sweep(
+                SweepSpec("schur", "certify", SweepBounds(boxes=3, parts=2, vars=2)),
+                only="lambda=9",
+            )
+
+    def test_only_matching_nothing_exits_2(self):
+        result = lorentz(
+            "sweep", "--family", "schur", "--boxes", "3", "--parts", "2",
+            "--vars", "2", "--only", "lambda=9",
+        )
+        assert result.returncode == 2
+        assert "--only 'lambda=9'" in result.stderr
+
+    def test_zero_vars_exits_2(self):
+        result = lorentz(
+            "sweep", "--family", "schur", "--boxes", "3", "--parts", "2", "--vars", "0"
+        )
+        assert result.returncode == 2
+        assert "vars=0" in result.stderr
+
+    def test_key_zero_parts_exits_2(self):
+        result = lorentz("sweep", "--family", "key", "--boxes", "3", "--parts", "0")
+        assert result.returncode == 2
+        assert "parts=0" in result.stderr
+
+    def test_degree_zero_n_exits_2(self):
+        result = lorentz("sweep", "--family", "degree", "--n", "0")
+        assert result.returncode == 2
+        assert "n=0" in result.stderr
