@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from . import univariate
 from .polynomials import Polynomial
 
 LORENTZIAN = "Lorentzian"
@@ -186,8 +185,10 @@ def characteristic_polynomial(matrix: SymmetricMatrix) -> list:
 
 
 def _signature_from_char_coeffs(coeffs, n: int) -> InertiaSignature:
-    reduced, zero = univariate.strip_zero_root([Fraction(c) for c in coeffs])
-    positive = univariate.descartes_positive_roots(reduced)
+    """Sign counts from the integer coefficients of a monic det(tI - B)."""
+    zero = next(k for k, c in enumerate(coeffs) if c)  # power of t dividing it
+    signs = [c > 0 for c in coeffs[zero:] if c]
+    positive = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return InertiaSignature(positive, n - zero - positive, zero)
 
 

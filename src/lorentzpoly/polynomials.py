@@ -6,10 +6,9 @@ coefficients.  The zero polynomial is the empty map.  All arithmetic is
 exact; nothing in this module touches floating point.
 
 The module also provides the normalization operator ``normalize`` sending
-each monomial x^mu to x^mu / mu! (componentwise factorials), its extension
-``normalize_shifted`` to shifted Laurent polynomials (negative-exponent
-terms are discarded before normalizing), and the canonical text format
-used by the command line tools and the bundled corpus files.
+each monomial x^mu to x^mu / mu! (componentwise factorials), and the
+canonical text format used by the command line tools and the bundled
+corpus files.
 
 Variable indices in the public API are 1-based, matching the x1, x2, ...
 naming of the text format.
@@ -389,84 +388,6 @@ def normalize(poly: Polynomial) -> Polynomial:
         for exponent, coeff in poly.terms.items()
     }
     return Polynomial._raw(poly.arity, out)
-
-
-class ShiftedLaurent:
-    """A Laurent polynomial stored as x^(-shift) * body.
-
-    ``body`` is an ordinary Polynomial and ``shift`` a tuple of nonnegative
-    ints.  The stored pair is canonical: while the body is nonzero, no x_i
-    divides every body term when shift_i > 0.  Construction canonicalizes.
-    """
-
-    __slots__ = ("shift", "body")
-
-    def __init__(self, shift, body: Polynomial):
-        shift = tuple(shift)
-        if len(shift) != body.arity:
-            raise ValueError(f"shift has length {len(shift)}, expected {body.arity}")
-        if any(s < 0 for s in shift):
-            raise ValueError("shift entries must be nonnegative")
-        if not body.terms:
-            self.shift = (0,) * body.arity
-            self.body = body
-            return
-        reduction = tuple(
-            min(s, min(e[i] for e in body.terms)) for i, s in enumerate(shift)
-        )
-        if any(reduction):
-            body = Polynomial._raw(
-                body.arity,
-                {
-                    tuple(e - r for e, r in zip(exponent, reduction)): coeff
-                    for exponent, coeff in body.terms.items()
-                },
-            )
-            shift = tuple(s - r for s, r in zip(shift, reduction))
-        self.shift = shift
-        self.body = body
-
-    @property
-    def arity(self) -> int:
-        return self.body.arity
-
-    @classmethod
-    def from_laurent_terms(cls, arity: int, terms) -> "ShiftedLaurent":
-        """Build from a map of (possibly negative) exponent tuples to coeffs."""
-        terms = {tuple(e): Fraction(c) for e, c in terms.items() if Fraction(c)}
-        shift = tuple(
-            max(0, -min((e[i] for e in terms), default=0)) for i in range(arity)
-        )
-        body = Polynomial(
-            arity,
-            {tuple(e + s for e, s in zip(exponent, shift)): coeff
-             for exponent, coeff in terms.items()},
-        )
-        return cls(shift, body)
-
-    def laurent_terms(self):
-        """Yield (exponent, coeff) pairs of the represented Laurent polynomial."""
-        for exponent, coeff in self.body.terms.items():
-            yield tuple(e - s for e, s in zip(exponent, self.shift)), coeff
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShiftedLaurent):
-            return NotImplemented
-        return self.shift == other.shift and self.body == other.body
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ShiftedLaurent(shift={self.shift}, body={self.body!r})"
-
-
-def normalize_shifted(laurent: ShiftedLaurent) -> Polynomial:
-    """Drop terms with any negative exponent, then apply ``normalize``."""
-    out: dict[Exponent, Fraction] = {}
-    for exponent, coeff in laurent.laurent_terms():
-        if all(e >= 0 for e in exponent):
-            out[exponent] = coeff / _factorial_product(exponent)
-    return Polynomial._raw(laurent.arity, out)
 
 
 # -- text format --------------------------------------------------------

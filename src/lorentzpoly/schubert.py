@@ -1,15 +1,19 @@
 """Permutation combinatorics and divided-difference polynomial generators.
 
-Schubert polynomials descend from the staircase monomial of the longest
-permutation via divided differences; Grothendieck polynomials use the
-isobaric variant pi_i = d_i - d_i (x_{i+1} * .); key polynomials sort a
-composition toward a partition applying d_i (x_i * .) at each ascent.
-Both recursions are deterministic (the smallest usable index is always
-chosen) and path-independent, which the tests verify directly.
+Schubert, Grothendieck and key polynomials share one ascent recursion on
+a tuple: at its smallest ascent i the polynomial is op_i of the polynomial
+of the tuple with positions i, i+1 swapped, and a tuple with no ascent
+gets a top polynomial.  Schubert polynomials apply divided differences
+d_i to one-line notation from the staircase monomial; Grothendieck
+polynomials the isobaric pi_i = d_i - d_i (x_{i+1} * .) from the same
+top; key polynomials d_i (x_i * .) to a composition, from x^mu at a
+partition.  The recursion is deterministic and path-independent, which
+the tests verify directly.
 
 Degree polynomials sum, over saturated chains of the Bruhat order, the
 product of the linear forms x_i + ... + x_{j-1} attached to each cover by
-the transposed positions i < j.
+the transposed positions i < j; each call memoizes the sum per
+permutation of the interval.
 """
 
 import itertools
@@ -244,35 +248,34 @@ def staircase_monomial(n: int) -> Polynomial:
     return Polynomial.monomial(n, tuple(range(n - 1, -1, -1)))
 
 
-def _descent_recursion(w: Permutation, apply_op, top_value, cache):
-    """Shared engine: walk up the weak order to the longest element.
-
-    For a non-longest w the smallest ascent i gives w s_i of length + 1 and
-    the generator of w is op_i applied to the generator of w s_i.
-    """
-    key = w.one_line
-    if cache is not None and key in cache:
-        return cache[key]
-    ascents = w.ascents()
-    if not ascents:
-        result = top_value
+def _descent_recursion(line: tuple, apply_op, top, cache):
+    """Shared engine: at the smallest i with line[i-1] < line[i], apply_op
+    to the result for line with positions i, i+1 swapped; a tuple with no
+    ascent gets top(line).  ``cache``, when given, maps tuples to results."""
+    if cache is not None and line in cache:
+        return cache[line]
+    for i in range(1, len(line)):
+        if line[i - 1] < line[i]:
+            swapped = line[: i - 1] + (line[i], line[i - 1]) + line[i + 1 :]
+            result = apply_op(_descent_recursion(swapped, apply_op, top, cache), i)
+            break
     else:
-        i = ascents[0]
-        taller = w.swap_positions(i, i + 1)
-        result = apply_op(_descent_recursion(taller, apply_op, top_value, cache), i)
+        result = top(line)
     if cache is not None:
-        cache[key] = result
+        cache[line] = result
     return result
 
 
 def schubert(w: Permutation, cache: dict | None = None) -> Polynomial:
     """Schubert polynomial of w, via divided differences from the staircase."""
-    return _descent_recursion(w, divided_difference, staircase_monomial(w.n), cache)
+    top = staircase_monomial(w.n)
+    return _descent_recursion(w.one_line, divided_difference, lambda _: top, cache)
 
 
 def grothendieck(w: Permutation, cache: dict | None = None) -> Polynomial:
     """Grothendieck polynomial of w, via isobaric operators from the staircase."""
-    return _descent_recursion(w, demazure_pi, staircase_monomial(w.n), cache)
+    top = staircase_monomial(w.n)
+    return _descent_recursion(w.one_line, demazure_pi, lambda _: top, cache)
 
 
 def schubert_dual(w: Permutation, cache: dict | None = None) -> Polynomial:
@@ -321,15 +324,10 @@ def key_polynomial(mu) -> Polynomial:
     if n == 0:
         raise ValueError("empty composition")
 
-    def build(comp):
-        for i in range(n - 1):
-            if comp[i] < comp[i + 1]:
-                swapped = comp[:i] + (comp[i + 1], comp[i]) + comp[i + 2 :]
-                inner = Polynomial.variable(n, i + 1) * build(swapped)
-                return divided_difference(inner, i + 1)
-        return Polynomial.monomial(n, comp)
+    def op(poly, i):
+        return divided_difference(Polynomial.variable(n, i) * poly, i)
 
-    return build(mu)
+    return _descent_recursion(mu, op, lambda top: Polynomial.monomial(n, top), None)
 
 
 def degree_polynomial(w: Permutation) -> Polynomial:
@@ -337,13 +335,15 @@ def degree_polynomial(w: Permutation) -> Polynomial:
     product of Chevalley multiplicities; a polynomial in n - 1 variables
     (one variable when n = 1, where the only chain is empty)."""
     arity = max(1, w.n - 1)
+    memo: dict[tuple, Polynomial] = {}  # one_line -> chain sum from the identity
 
     def chains(u: Permutation) -> Polynomial:
-        if u.is_identity():
-            return Polynomial.constant(arity, 1)
-        total = Polynomial.zero(arity)
-        for cover in _lower_covers(u):
-            total = total + cover.chevalley_multiplicity(arity) * chains(cover.lower)
-        return total
+        if u.one_line not in memo:
+            # the identity has no lower cover; its one chain is empty
+            total = Polynomial.constant(arity, 1 if u.is_identity() else 0)
+            for cover in _lower_covers(u):
+                total = total + cover.chevalley_multiplicity(arity) * chains(cover.lower)
+            memo[u.one_line] = total
+        return memo[u.one_line]
 
     return chains(w)

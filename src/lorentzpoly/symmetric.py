@@ -1,22 +1,24 @@
 """Generators for Schur-family symmetric polynomials and weight multiplicities.
 
-Schur and skew Schur polynomials are produced by direct enumeration of
-semistandard Young tableaux (column by column, backtracking); Schur
-P-polynomials by enumeration of marked shifted tableaux; Kostka numbers by
-the same enumeration with a fixed target weight.  The determinant-ratio
+Skew Schur polynomials are produced by direct enumeration of semistandard
+Young tableaux (column by column, backtracking), and a Schur polynomial is
+the skew Schur polynomial of lam/(); Schur P-polynomials come from
+enumeration of marked shifted tableaux; Kostka numbers from the same
+tableau walk with a fixed target weight.  The determinant-ratio
 construction of Schur polynomials lives in ``oracles`` as an independent
 cross-check and is never used as the primary path.
 
 Also here: the type A Kostant partition function (bounded-knapsack count
 of negative-root multisets) and the normalized truncated character of a
-universal highest-weight module, built from the product of truncated
-geometric factors over the negative roots.
+universal highest-weight module, built from the product of geometric
+factors over the negative roots, each truncated at sum(delta), which
+drops no term of nonnegative exponent.
 """
 
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, ShiftedLaurent, normalize_shifted
+from .polynomials import Polynomial, normalize
 
 
 class Partition:
@@ -195,14 +197,8 @@ def _enumerate_fillings(outer: Partition, inner: Partition, m: int, budget=None)
 
 
 def schur(lam, m: int) -> Polynomial:
-    """Schur polynomial of ``lam`` in m variables, by tableau enumeration."""
-    if m < 1:
-        raise ValueError("need at least one variable")
-    lam = _as_partition(lam)
-    terms: dict[tuple, int] = {}
-    for weight in _enumerate_fillings(lam, Partition(), m):
-        terms[weight] = terms.get(weight, 0) + 1
-    return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+    """Schur polynomial of ``lam`` in m variables: the skew shape lam/()."""
+    return skew_schur(SkewShape(lam, Partition()), m)
 
 
 def skew_schur(shape: SkewShape, m: int) -> Polynomial:
@@ -356,14 +352,15 @@ def kostant_partition(v) -> int:
     return result
 
 
-def verma_truncated_normalized(delta, bound: int | None = None) -> Polynomial:
+def verma_truncated_normalized(delta) -> Polynomial:
     """Normalized truncated character of a universal highest-weight module.
 
     Expands the product over pairs i > j of 1 + x_i/x_j + (x_i/x_j)^2 + ...
-    with each geometric factor truncated at exponent ``bound`` (default:
-    sum of delta, which is large enough that the result is independent of
-    the truncation), multiplies by x^delta, and keeps the normalized
-    nonnegative part.  The result is homogeneous of degree sum(delta).
+    with each geometric factor truncated at exponent sum(delta), multiplies
+    by x^delta, keeps the part with nonnegative exponents and normalizes
+    it.  No root enters a nonnegative term more than sum(delta) times, so
+    nothing is lost to the truncation.  The result is homogeneous of
+    degree sum(delta).
     """
     delta = tuple(int(x) for x in delta)
     if any(x < 0 for x in delta):
@@ -371,12 +368,13 @@ def verma_truncated_normalized(delta, bound: int | None = None) -> Polynomial:
     m = len(delta)
     if m < 1:
         raise ValueError("need at least one variable")
-    cap = sum(delta) if bound is None else int(bound)
+    cap = sum(delta)
 
     factors = sorted(_negative_roots(m), key=lambda ab: (ab[0], ab[1]))
     # raises_left[t][c] = how many factors from position t on can still raise
     # coordinate c; used to prune partial products that already sank below
-    # what later factors plus the final x^delta shift can recover.
+    # what later factors plus the final x^delta shift can recover.  After the
+    # last factor nothing can, so every surviving exponent is nonnegative.
     raises_left = [[0] * m for _ in range(len(factors) + 1)]
     for t in range(len(factors) - 1, -1, -1):
         raises_left[t] = list(raises_left[t + 1])
@@ -402,5 +400,4 @@ def verma_truncated_normalized(delta, bound: int | None = None) -> Polynomial:
 
     shifted = {tuple(e + d for e, d in zip(exponent, delta)): coeff
                for exponent, coeff in current.items()}
-    laurent = ShiftedLaurent.from_laurent_terms(m, shifted)
-    return normalize_shifted(laurent)
+    return normalize(Polynomial(m, shifted))

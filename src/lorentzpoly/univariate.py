@@ -5,6 +5,9 @@ Polynomials are plain lists of Fractions in ascending power order
 for exact real-root counting and Descartes sign-variation counting, which
 is exact for polynomials whose roots are all real (characteristic
 polynomials of symmetric matrices).
+
+Within the package only ``oracles`` imports this module: it is the
+second route that the tests compare the production code against.
 """
 
 from fractions import Fraction

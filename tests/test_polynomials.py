@@ -6,12 +6,10 @@ import pytest
 from lorentzpoly.polynomials import (
     Polynomial,
     PolynomialSyntaxError,
-    ShiftedLaurent,
     divide_by_variable_difference,
     format_polynomial,
     format_terms,
     normalize,
-    normalize_shifted,
     parse_polynomial,
     swap_variables,
 )
@@ -108,32 +106,6 @@ class TestNormalize:
             mu = tuple(rng.randint(0, 3) for _ in range(arity))
             shift = Polynomial.monomial(arity, mu)
             assert normalize(shift * f).derivative(mu) == normalize(f)
-
-
-class TestShiftedLaurent:
-    def test_plain_constant(self):
-        laurent = ShiftedLaurent((0, 0), Polynomial.constant(2, 1))
-        assert normalize_shifted(laurent) == Polynomial.constant(2, 1)
-
-    def test_negative_exponent_dropped(self):
-        # represents x2 / x1
-        laurent = ShiftedLaurent((1, 0), Polynomial.variable(2, 2))
-        assert normalize_shifted(laurent) == Polynomial.zero(2)
-
-    def test_mixed_truncation(self):
-        # represents x1 x2 + x2^2 after canonical reduction
-        laurent = ShiftedLaurent((1, 1), poly("vars: 2\nx1^2 x2^2 + x1 x2^3"))
-        assert laurent.shift == (0, 0)
-        assert normalize_shifted(laurent) == poly("vars: 2\nx1 x2 + 1/2 x2^2")
-
-    def test_from_laurent_terms_round_trip(self):
-        laurent = ShiftedLaurent.from_laurent_terms(2, {(-1, 2): 3, (0, 0): 1})
-        assert dict(laurent.laurent_terms()) == {(-1, 2): 3, (0, 0): 1}
-        assert laurent.shift == (1, 0)
-
-    def test_zero_body_resets_shift(self):
-        laurent = ShiftedLaurent((2, 1), Polynomial.zero(2))
-        assert laurent.shift == (0, 0)
 
 
 class TestCalculus:

@@ -220,6 +220,24 @@ class TestKeyPolynomials:
         assert key_polynomial((0, 1, 2)) == schur((2, 1), 3)
         assert key_polynomial((1, 1, 3)) == schur((3, 1, 1), 3)
 
+    def test_matches_own_sorting_recursion(self):
+        # reference: the sort toward a partition written out on its own, 0-based
+        from lorentzpoly.sweeps import compositions_within
+
+        def build(comp):
+            n = len(comp)
+            for i in range(n - 1):
+                if comp[i] < comp[i + 1]:
+                    swapped = comp[:i] + (comp[i + 1], comp[i]) + comp[i + 2 :]
+                    inner = Polynomial.variable(n, i + 1) * build(swapped)
+                    return divided_difference(inner, i + 1)
+            return Polynomial.monomial(n, comp)
+
+        compositions = list(compositions_within(5, 4))
+        assert len(compositions) == 126
+        for mu in compositions:
+            assert key_polynomial(mu) == build(mu), mu
+
 
 class TestDegreePolynomials:
     def test_identity_is_one(self):
@@ -266,6 +284,20 @@ class TestDegreePolynomials:
 
         for w in all_permutations(4):
             assert dfs_chains(w) == dp_chains(w)
+
+    def test_matches_unmemoized_chain_sum(self):
+        from lorentzpoly.schubert import _lower_covers
+
+        def chains(u):  # in S4, so a polynomial in 3 variables
+            if u.is_identity():
+                return Polynomial.constant(3, 1)
+            total = Polynomial.zero(3)
+            for cover in _lower_covers(u):
+                total = total + cover.chevalley_multiplicity(3) * chains(cover.lower)
+            return total
+
+        for w in all_permutations(4):
+            assert degree_polynomial(w) == chains(w), w
 
 
 class TestBruhatCovers:

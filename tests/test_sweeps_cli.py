@@ -180,6 +180,19 @@ class TestCli:
         )
         assert result.stdout.splitlines()[1] == "x1 x2"
 
+    def test_gen_negative_scale_with_equals(self):
+        result = lorentz("gen", "--family", "schur", "--lambda", "1", "--vars", "2",
+                         "--scale=-2/3")
+        assert result.returncode == 0
+        assert result.stdout == "vars: 2\n-2/3 x1 - 2/3 x2\n"
+
+    def test_gen_negative_component_exits_2(self):
+        result = lorentz("gen", "--family", "grothendieck", "--w", "1432",
+                         "--component", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "component index must be nonnegative" in result.stderr
+
     def test_sweep_cli_json(self):
         result = lorentz(
             "sweep", "--family", "schubert", "--n", "3", "--out", "json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -234,10 +235,21 @@ class TestVerma:
         got = verma_truncated_normalized((1, 1))
         assert got == poly("vars: 2\nx1 x2 + 1/2 x2^2")
 
-    def test_independent_of_truncation_bound(self):
-        for delta in ((1, 1), (2, 0, 1), (1, 1, 1)):
-            base = verma_truncated_normalized(delta)
-            assert verma_truncated_normalized(delta, bound=sum(delta) + 2) == base
+    def test_nothing_truncated_away(self):
+        # every weight mu of size |delta| reachable from delta by negative
+        # roots appears, with coefficient K(mu - delta) / mu!
+        for delta in ((1, 1), (2, 0, 1), (1, 1, 1), (2, 1, 1)):
+            expected = {}
+            for mu in itertools.product(range(sum(delta) + 1), repeat=len(delta)):
+                if sum(mu) != sum(delta):
+                    continue
+                count = brute_kostant(tuple(a - b for a, b in zip(mu, delta)))
+                if count:
+                    mu_factorial = 1
+                    for e in mu:
+                        mu_factorial *= math.factorial(e)
+                    expected[mu] = Fraction(count, mu_factorial)
+            assert verma_truncated_normalized(delta).terms == expected, delta
 
     def test_homogeneous_of_shift_degree(self):
         for delta in ((1, 1), (2, 1, 0), (1, 1, 1, 1)):

@@ -1,5 +1,8 @@
+import ast
+import pathlib
 from fractions import Fraction
 
+import lorentzpoly
 from lorentzpoly import univariate as uni
 
 
@@ -47,3 +50,21 @@ def test_exact_divide_round_trip():
     b = F(1, 1)
     q = uni.exact_divide(a, b)
     assert q == F(1, 1)
+
+
+def test_only_oracles_imports_second_routes():
+    # production code has one route per question; univariate (Sturm chains)
+    # and the oracles module serve the tests, through oracles.py alone
+    package = pathlib.Path(lorentzpoly.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] in ("univariate", "oracles") for name in names):
+                importers.add(path.name)
+    assert importers == {"oracles.py"}
