@@ -14,6 +14,20 @@ power of t dividing it, and count sign variations of the remaining
 coefficients.  Sign variations equal the positive-root count because a
 symmetric matrix has an all-real spectrum.
 
+M-convexity is decided by the rank function r(X) = max_{x in S} x(X) of
+the support S over the 2^m subsets X of its m varying coordinates.  A set
+with constant coordinate sum is M-convex exactly when it is the set of
+integer points of an integral base polyhedron (Murota, Discrete Convex
+Analysis, SIAM 2003, ch. 4), that is, when r is submodular and S is all of
+B(r) = {y : y(X) <= r(X), y(V) = r(V)} in Z^m.  The integer points of
+B(r) are walked depth-first, one coordinate at a time, within the bounds
+that the projections of B(r) put on it, and the walk stops at the first
+point outside S.  Coordinates constant over S never move in an exchange,
+so they are dropped first; the rank test runs only when 2^m <= |S|, which
+keeps it within the O(|S|^2) of the pairwise scan.  The scan of the
+exchange axiom over all pairs runs only to find the lexicographically
+first witness once the answer is "no", or when the rank test is skipped.
+
 Mixed partial derivatives commute, so derivative index sequences and
 multisets give identical quadratic forms; the certifier therefore
 enumerates sorted multisets only.  The quadratic form of the order-(d-2)
@@ -27,7 +41,9 @@ through the public derivative chain, so each verdict is covered by two
 independent routes.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -65,20 +81,67 @@ def _exchange_ok(support, alpha, beta, i) -> bool:
     return False
 
 
-def m_convex_failure(points):
-    """First violation of the exchange axiom, or None when M-convex.
+def _rank_m_convex(pts) -> bool:
+    """M-convexity of a sorted, duplicate-free list of points of one arity
+    m >= 1, decided through the rank function r(X) = max_{x in S} x(X).
 
-    A violation is a triple (alpha, beta, i) with alpha_i > beta_i and no
-    index j with alpha_j < beta_j, alpha - e_i + e_j and beta - e_j + e_i
-    both in the set.  Points are scanned in sorted order so the returned
-    witness is deterministic.
+    S is M-convex exactly when r is submodular and S is the set of integer
+    points of the base polyhedron B(r); S always lies in B(r), so the walk
+    below only has to stop at the first integer point of B(r) outside S.
     """
-    pts = sorted(tuple(p) for p in points)
-    if pts:
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise ValueError("mixed arity in support set")
-    index = set(pts)
+    total = sum(pts[0])
+    if any(sum(p) != total for p in pts):
+        return False
+    m = len(pts[0])
+    columns = list(zip(*pts))
+    rank = [0] * (1 << m)  # rank[X], bit k of X standing for coordinate k
+
+    def fill(low, sums, first):
+        # sums lists p(low) for every point p, in the order of pts
+        for k in range(first, m):
+            above = list(map(operator.add, sums, columns[k]))
+            rank[low | 1 << k] = max(above)
+            fill(low | 1 << k, above, k + 1)
+
+    fill(0, [0] * len(pts), 0)
+    bits = [1 << k for k in range(m)]
+    for low, base in enumerate(rank):
+        free = [b for b in bits if not low & b]
+        for a, b in itertools.combinations(free, 2):
+            if rank[low | a] + rank[low | b] < rank[low | a | b] + base:
+                return False
+    # Projections of B(r) onto the leading coordinates are g-polymatroids,
+    # so coordinate k given the prefix y ranges over
+    # [max_X r(V) - r(V - X - k) - y(X), min_X r(X + k) - y(X)], X within
+    # the prefix, and every step of the walk reaches a point of B(r).  The
+    # last coordinate is total - y(V - (m - 1)), so the walk stops one short.
+    full = (1 << m) - 1
+    lows = [
+        [rank[full] - rank[full ^ (low | 1 << k)] for low in range(1 << k)]
+        for k in range(m - 1)
+    ]
+    highs = [[rank[low | 1 << k] for low in range(1 << k)] for k in range(m - 1)]
+    prefixes = {p[:-1] for p in pts}
+    visited = 0
+
+    def walk(prefix, prefix_sums):
+        nonlocal visited
+        k = len(prefix)
+        if k == m - 1:
+            visited += 1
+            return prefix in prefixes
+        lo = max(map(operator.sub, lows[k], prefix_sums))
+        hi = min(map(operator.sub, highs[k], prefix_sums))
+        for t in range(lo, hi + 1):
+            if not walk(prefix + (t,), prefix_sums + [s + t for s in prefix_sums]):
+                return False
+        return True
+
+    return walk((), [0]) and visited == len(pts)
+
+
+def _exchange_scan(pts, index):
+    """First exchange violation over the pairs of sorted ``pts``, or None."""
     for a_pos, alpha in enumerate(pts):
         for beta in pts[a_pos + 1 :]:
             for i in range(len(alpha)):
@@ -89,6 +152,29 @@ def m_convex_failure(points):
                     if not _exchange_ok(index, beta, alpha, i):
                         return (beta, alpha, i + 1)
     return None
+
+
+def m_convex_failure(points):
+    """First violation of the exchange axiom, or None when M-convex.
+
+    A violation is a triple (alpha, beta, i) with alpha_i > beta_i and no
+    index j with alpha_j < beta_j, alpha - e_i + e_j and beta - e_j + e_i
+    both in the set.  Points are scanned in sorted order so the returned
+    witness is deterministic.  The rank test decides first whenever the
+    varying coordinates span at most log2 |S| dimensions; the pairwise scan
+    runs only to find the witness, or when the rank test would cost more.
+    """
+    index = {tuple(p) for p in points}
+    pts = sorted(index)
+    if pts:
+        n = len(pts[0])
+        if any(len(p) != n for p in pts):
+            raise ValueError("mixed arity in support set")
+    # the exchange axiom never moves a coordinate constant over the set
+    varying = [col for col in zip(*pts) if min(col) != max(col)]
+    if varying and 2 ** len(varying) <= len(pts) and _rank_m_convex(list(zip(*varying))):
+        return None
+    return _exchange_scan(pts, index)
 
 
 def is_m_convex(points) -> bool:

@@ -52,10 +52,16 @@ class Permutation:
 
     @classmethod
     def from_string(cls, text: str) -> "Permutation":
-        """Accepts one-line notation as digits ('1432') or comma form ('1,4,3,2')."""
+        """Accepts one-line notation as digits ('1432', up to 9 letters) or comma
+        form ('1,4,3,2')."""
         text = text.strip()
         if "," in text:
             return cls(int(v) for v in text.split(","))
+        if len(text) >= 10:
+            raise ValueError(
+                f"digit form {text!r} is ambiguous for 10 or more letters; "
+                "use the comma form, e.g. 1,2,...,10"
+            )
         return cls(int(ch) for ch in text)
 
     def __eq__(self, other):

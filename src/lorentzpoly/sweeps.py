@@ -398,12 +398,25 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
     raise AssertionError(spec.mode)
 
 
+def _guarded_check(spec: SweepSpec, instance_id: str, payload):
+    """``_check_instance``, with a crash reported as that instance's failure."""
+    try:
+        return _check_instance(spec, instance_id, payload)
+    except Exception as exc:  # noqa: BLE001 - a crash is a failed instance
+        return {
+            "instance": instance_id,
+            "target": "error",
+            "detail": f"{type(exc).__name__}: {exc}",
+            "repro": _repro_command(spec, instance_id),
+        }
+
+
 def _worker(args):
     spec_dict, instance_id, payload = args
     spec = SweepSpec(
         spec_dict["family"], spec_dict["mode"], SweepBounds(**spec_dict["bounds"])
     )
-    return _check_instance(spec, instance_id, payload)
+    return _guarded_check(spec, instance_id, payload)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> SweepReport:
@@ -419,7 +432,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> Swe
     failures = []
     if jobs <= 1:
         for instance_id, payload in instances:
-            failure = _check_instance(spec, instance_id, payload)
+            failure = _guarded_check(spec, instance_id, payload)
             if failure is not None:
                 failures.append(failure)
     else:

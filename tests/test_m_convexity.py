@@ -1,0 +1,161 @@
+"""The rank test of M-convexity against the pairwise exchange scan.
+
+``m_convex_failure`` decides through the rank function of the support's
+base polyhedron and scans pairs only for the witness; the scan alone,
+``certify._exchange_scan``, is the slow oracle.  Both must give the same
+verdict and the same first witness on every input.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from lorentzpoly import certify
+from lorentzpoly.certify import m_convex_failure
+from lorentzpoly.polynomials import normalize
+from lorentzpoly.sweeps import (
+    FAMILIES,
+    FAMILY_TABLE,
+    SweepSpec,
+    _instances,
+    compositions_within,
+)
+from lorentzpoly.symmetric import schur
+
+from test_family_table import SWEEPS
+
+GENERATED = settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+
+
+def scan(points):
+    return certify._exchange_scan(sorted(points), set(points))
+
+
+def assert_agrees(points):
+    """Same result as the scan; the rank test alone gives the scan's verdict."""
+    expected = scan(points)
+    assert m_convex_failure(points) == expected
+    assert certify._rank_m_convex(sorted(points)) == (expected is None)
+
+
+def compositions(total, n):
+    return [c for c in compositions_within(total, n) if sum(c) == total]
+
+
+@st.composite
+def linear_form_products(draw):
+    """Support of prod_k sum_{i in A_k} x_i: the Minkowski sum of the unit
+    vectors e_i, i in A_k, which is M-convex."""
+    n = draw(st.integers(2, 6))
+    forms = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))
+    support = {(0,) * n}
+    for form in forms:
+        support = {
+            tuple(v + (k == i) for k, v in enumerate(point))
+            for point in support
+            for i in form
+        }
+    return support
+
+
+@st.composite
+def edited_products(draw):
+    """A product support with one point removed or one same-degree point added."""
+    support = draw(linear_form_products())
+    point = next(iter(support))
+    if len(support) > 1 and draw(st.booleans()):
+        return support - {draw(st.sampled_from(sorted(support)))}
+    return support | {draw(st.sampled_from(compositions(sum(point), len(point))))}
+
+
+@st.composite
+def constant_sum_subsets(draw):
+    n = draw(st.integers(2, 5))
+    pool = compositions(draw(st.integers(1, 4)), n)
+    return draw(st.sets(st.sampled_from(pool), min_size=1))
+
+
+@st.composite
+def mixed_sum_sets(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.sets(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12))
+
+
+@st.composite
+def negative_entry_sets(draw):
+    """Shifted product supports (still M-convex), edited or not, and loose
+    sets of small integer vectors."""
+    if draw(st.booleans()):
+        support = draw(st.one_of(linear_form_products(), edited_products()))
+        shift = draw(st.tuples(*[st.integers(-3, 1)] * len(next(iter(support)))))
+        return {tuple(v + s for v, s in zip(point, shift)) for point in support}
+    n = draw(st.integers(1, 4))
+    return draw(st.sets(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=12))
+
+
+@GENERATED
+@given(linear_form_products())
+def test_products_of_linear_forms(points):
+    assert m_convex_failure(points) is None
+    assert_agrees(points)
+
+
+@GENERATED
+@given(edited_products())
+def test_one_point_removed_or_added(points):
+    assert_agrees(points)
+
+
+@GENERATED
+@given(constant_sum_subsets())
+def test_constant_sum_subsets(points):
+    assert_agrees(points)
+
+
+@GENERATED
+@given(mixed_sum_sets())
+def test_mixed_sums(points):
+    assert_agrees(points)
+
+
+@GENERATED
+@given(negative_entry_sets())
+def test_negative_entries(points):
+    assert_agrees(points)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_supports(family):
+    bounds, _ = SWEEPS[family]
+    entry = FAMILY_TABLE[family]
+    for _, payload in _instances(SweepSpec(family, "certify", bounds)):
+        raw = entry.generate(payload)
+        for poly in [raw, *(target for _, target in entry.targets(payload, raw))]:
+            assert m_convex_failure(poly.terms) == scan(set(poly.terms))
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0, 1, 1), (1, 1, 0, 0)],
+    [(0, 0, 0, 2), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0)],
+])
+def test_rank_function_must_be_submodular(points):
+    """Sets that are all the integer points of {y(X) <= r(X), y(V) = r(V)}
+    without being M-convex: only the submodularity of r rejects them."""
+    assert scan(set(points)) is not None
+    assert certify._rank_m_convex(points) is False
+
+
+def _refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+def test_scan_decides_when_rank_test_would_cost_more(monkeypatch):
+    """{e_1 + e_j : 2 <= j <= 16}: 15 varying coordinates and 15 points."""
+    monkeypatch.setattr(certify, "_rank_m_convex", _refuse)
+    points = {tuple(int(k in (0, j)) for k in range(16)) for j in range(1, 16)}
+    assert m_convex_failure(points) is None
+
+
+def test_rank_test_decides_without_scan(monkeypatch):
+    monkeypatch.setattr(certify, "_exchange_scan", _refuse)
+    assert m_convex_failure(normalize(schur((3, 2, 1), 4)).terms) is None

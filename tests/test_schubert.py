@@ -53,6 +53,12 @@ class TestPermutation:
         assert Permutation.from_string("1432") == Permutation((1, 4, 3, 2))
         assert Permutation.from_string("1,4,3,2") == Permutation((1, 4, 3, 2))
 
+    def test_from_string_rejects_ambiguous_digits(self):
+        with pytest.raises(ValueError, match="comma form"):
+            Permutation.from_string("12345678910")
+        ten = Permutation.from_string("1,2,3,4,5,6,7,8,9,10")
+        assert ten == Permutation(range(1, 11))
+
 
 class TestDividedDifference:
     def test_kills_to_one(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 from lorentzpoly import corpus
+from lorentzpoly.cli import main
 from lorentzpoly.sweeps import (
+    FAMILY_TABLE,
     SweepBounds,
     SweepCapError,
     SweepSpec,
@@ -228,6 +231,12 @@ class TestCli:
         assert result.returncode == 0
         assert "Lorentzian" in result.stdout
 
+    def test_gen_ambiguous_digit_permutation_exits_2(self):
+        result = lorentz("gen", "--family", "schubert", "--w", "12345678910")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "comma form" in result.stderr
+
     def test_sweep_failure_exits_1(self):
         result = lorentz(
             "sweep", "--family", "grothendieck", "--mode", "support_only", "--n", "3"
@@ -297,3 +306,39 @@ class TestEmptyOrUnusableSweeps:
         result = lorentz("sweep", "--family", "degree", "--n", "0")
         assert result.returncode == 2
         assert "n=0" in result.stderr
+
+
+class TestCrashingInstance:
+    """An exception inside one instance check fails that instance, exit 1."""
+
+    @pytest.fixture(params=[RuntimeError, ValueError])
+    def crash(self, request, monkeypatch):
+        family = FAMILY_TABLE["key"]
+
+        def generate(payload):
+            if payload == ((1, 1, 0),):
+                raise request.param("generator broke")
+            return family.generate(payload)
+
+        monkeypatch.setitem(FAMILY_TABLE, "key", dataclasses.replace(family, generate=generate))
+        return request.param.__name__
+
+    # with --jobs 2 the pool's workers are forked and inherit the patched table
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_crash_is_an_error_failure(self, crash, jobs, capsys):
+        code = main(["sweep", "--family", "key", "--boxes", "2", "--parts", "3",
+                     "--jobs", jobs, "--out", "json"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["instances_checked"] == 10
+        assert report["failures"] == [{
+            "instance": "mu=1,1,0",
+            "target": "error",
+            "detail": f"{crash}: generator broke",
+            "repro": "lorentz sweep --family key --mode certify --boxes 2 --parts 3 "
+                     "--only 'mu=1,1,0'",
+        }]
+
+    def test_bound_errors_still_exit_2(self, crash, capsys):
+        assert main(["sweep", "--family", "key", "--boxes", "99", "--parts", "3"]) == 2
+        assert "boxes=99" in capsys.readouterr().err
