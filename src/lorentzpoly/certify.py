@@ -599,39 +599,3 @@ def root_direction_violations(poly: Polynomial):
                     if not discrete_root_log_concavity(poly, mu, i, j):
                         violations.append((tuple(mu), i, j))
     return violations
-
-
-# -- log-concavity spot check ----------------------------------------------
-
-
-def numeric_log_concavity_spot(poly: Polynomial, points, tol: float = 1e-8) -> bool:
-    """Test concavity of log(h) at strictly positive points, exactly.
-
-    At a point where h > 0 the Hessian of log h is (h H(h) - grad grad^T) / h^2,
-    so it has the inertia of the rational matrix h H(h) - grad grad^T; the
-    test fails at the first point where that matrix has a positive
-    eigenvalue.  ``tol`` is unused and kept for existing callers.  Advisory
-    only; never a certification path.
-    """
-    if not poly:
-        raise ValueError("polynomial must be nonzero")
-    n = poly.arity
-    grads = [poly.partial_derivative(i) for i in range(1, n + 1)]
-    hess = [
-        [grads[i].partial_derivative(j + 1) for j in range(n)] for i in range(n)
-    ]
-    for point in points:
-        point = [Fraction(v) for v in point]
-        if any(v <= 0 for v in point):
-            raise ValueError("points must be strictly positive")
-        value = poly.evaluate(point)
-        if value <= 0:
-            raise ValueError(f"polynomial is not positive at ({', '.join(map(str, point))})")
-        grad = [g.evaluate(point) for g in grads]
-        matrix = SymmetricMatrix(
-            [[value * hess[i][j].evaluate(point) - grad[i] * grad[j] for j in range(n)]
-             for i in range(n)]
-        )
-        if inertia(matrix).positive > 0:
-            return False
-    return True

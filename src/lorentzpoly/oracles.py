@@ -4,15 +4,17 @@ Each function here recomputes something the main modules produce, by a
 deliberately different method: Schur polynomials as a ratio of alternants
 (versus tableau enumeration), characteristic polynomials by minor
 expansion over column subsets (versus the Faddeev-LeVerrier recursion),
-and eigenvalue sign counts by Sturm-chain interval bracketing refined
-until every root is separated from zero (versus Descartes counting).
+eigenvalue sign counts by Sturm-chain interval bracketing refined
+until every root is separated from zero (versus Descartes counting), and
+the advisory log-concavity spot check, the exact inertia of the Hessian
+of log h at sample points (versus the Hessian certificate).
 """
 
 import itertools
 from fractions import Fraction
 
 from . import univariate
-from .certify import InertiaSignature, SymmetricMatrix
+from .certify import InertiaSignature, SymmetricMatrix, inertia
 from .polynomials import Polynomial, divide_by_variable_difference
 from .symmetric import Partition
 
@@ -129,3 +131,38 @@ def inertia_by_sturm_bracketing(matrix: SymmetricMatrix) -> InertiaSignature:
     if positive + negative + zero != n:
         raise ArithmeticError("all eigenvalues of a symmetric matrix must be real")
     return InertiaSignature(positive, negative, zero)
+
+
+# -- log-concavity spot check ----------------------------------------------
+
+
+def numeric_log_concavity_spot(poly: Polynomial, points) -> bool:
+    """Test concavity of log(h) at strictly positive points, exactly.
+
+    At a point where h > 0 the Hessian of log h is (h H(h) - grad grad^T) / h^2,
+    so it has the inertia of the rational matrix h H(h) - grad grad^T; the
+    test fails at the first point where that matrix has a positive
+    eigenvalue.  Advisory only; never a certification path.
+    """
+    if not poly:
+        raise ValueError("polynomial must be nonzero")
+    n = poly.arity
+    grads = [poly.partial_derivative(i) for i in range(1, n + 1)]
+    hess = [
+        [grads[i].partial_derivative(j + 1) for j in range(n)] for i in range(n)
+    ]
+    for point in points:
+        point = [Fraction(v) for v in point]
+        if any(v <= 0 for v in point):
+            raise ValueError("points must be strictly positive")
+        value = poly.evaluate(point)
+        if value <= 0:
+            raise ValueError(f"polynomial is not positive at ({', '.join(map(str, point))})")
+        grad = [g.evaluate(point) for g in grads]
+        matrix = SymmetricMatrix(
+            [[value * hess[i][j].evaluate(point) - grad[i] * grad[j] for j in range(n)]
+             for i in range(n)]
+        )
+        if inertia(matrix).positive > 0:
+            return False
+    return True

@@ -392,7 +392,7 @@ def normalize(poly: Polynomial) -> Polynomial:
 
 # -- text format --------------------------------------------------------
 #
-# poly     := ['-'] term (('+'|'-') term)*
+# poly     := ['+'|'-'] term (('+'|'-') term)*
 # term     := [rational] var*          (at least one factor)
 # rational := int | int '/' posint
 # var      := 'x' index ['^' posint]
@@ -403,35 +403,14 @@ def normalize(poly: Polynomial) -> Polynomial:
 # descending exponent tuple (graded lexicographic), with coefficients in
 # lowest terms.
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<sign>[+-])"
-    r"|(?P<var>x(?P<vindex>\d+)(\^(?P<vpow>\d+))?)"
-    r"|(?P<rational>(?P<num>\d+)(/(?P<den>\d+))?)"
-)
-
-
-def _tokenize(text: str, line0: int):
-    tokens = []
-    line, col = line0, 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = match.lastgroup
-        if kind in ("vindex", "vpow", "num", "den"):
-            kind = "var" if kind in ("vindex", "vpow") else "rational"
-        piece = match.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, match, line, col))
-        newlines = piece.count("\n")
-        if newlines:
-            line += newlines
-            col = len(piece) - piece.rfind("\n")
-        else:
-            col += len(piece)
-        pos = match.end()
-    return tokens
+_GAP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments
+# A well-formed body is a run of these pieces; where one match of the run
+# stops is the first unexpected character.
+_PIECES_RE = re.compile(r"(?:\s+|#[^\n]*|[+-]|x\d+(?:\^\d+)?|\d+(?:/\d+)?)*")
+_GAP_RE = re.compile(_GAP)
+_SIGN_RE = re.compile(r"([+-])" + _GAP)
+_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?" + _GAP)
+_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?" + _GAP)
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -456,57 +435,47 @@ def parse_polynomial(text: str) -> Polynomial:
     if arity < 1:
         raise PolynomialSyntaxError("arity must be positive", body_start, 1)
     body = "\n".join(lines[body_start:])
-    tokens = _tokenize(body, body_start + 1)
-    if not tokens:
-        raise PolynomialSyntaxError("empty polynomial body", body_start + 1, 1)
 
+    def fail(message, pos):
+        # an unexpected character anywhere is reported before any grammar error
+        stop = _PIECES_RE.match(body).end()
+        if stop < end:
+            message, pos = f"unexpected character {body[stop]!r}", stop
+        line = body_start + 1 + body.count("\n", 0, pos)
+        raise PolynomialSyntaxError(message, line, pos - body.rfind("\n", 0, pos))
+
+    end = len(body)
+    pos = _GAP_RE.match(body).end()
+    if pos == end:
+        fail("empty polynomial body", 0)
     terms: dict[Exponent, Fraction] = {}
-    idx = 0
-
-    def parse_term(sign: int):
-        nonlocal idx
-        coeff = Fraction(sign)
+    while pos < end:
+        sign_at = pos
+        match = _SIGN_RE.match(body, pos)
+        if match:
+            pos = match.end()
+        elif terms:  # only the first term may omit its sign
+            fail("expected '+' or '-' between terms", pos)
+        coeff = Fraction(-1 if match and match.group(1) == "-" else 1)
         exponent = [0] * arity
-        saw_factor = False
-        if idx < len(tokens) and tokens[idx][0] == "rational":
-            _, match, _, _ = tokens[idx]
-            num = int(match.group("num"))
-            den = int(match.group("den") or 1)
+        term_at = pos
+        match = _RATIONAL_RE.match(body, pos)
+        if match:
+            den = int(match.group(2) or 1)
             if den == 0:
-                raise PolynomialSyntaxError(
-                    "zero denominator", tokens[idx][2], tokens[idx][3]
-                )
-            coeff *= Fraction(num, den)
-            saw_factor = True
-            idx += 1
-        while idx < len(tokens) and tokens[idx][0] == "var":
-            _, match, tline, tcol = tokens[idx]
-            vindex = int(match.group("vindex"))
-            vpow = int(match.group("vpow") or 1)
+                fail("zero denominator", pos)
+            coeff *= Fraction(int(match.group(1)), den)
+            pos = match.end()
+        while match := _VAR_RE.match(body, pos):
+            vindex = int(match.group(1))
             if not 1 <= vindex <= arity:
-                raise PolynomialSyntaxError(
-                    f"variable x{vindex} out of range for vars: {arity}", tline, tcol
-                )
-            exponent[vindex - 1] += vpow
-            saw_factor = True
-            idx += 1
-        if not saw_factor:
-            where = tokens[idx] if idx < len(tokens) else tokens[-1]
-            raise PolynomialSyntaxError("expected a term", where[2], where[3])
+                fail(f"variable x{vindex} out of range for vars: {arity}", pos)
+            exponent[vindex - 1] += int(match.group(2) or 1)
+            pos = match.end()
+        if pos == term_at:  # a sign that ends the body is reported at the sign
+            fail("expected a term", term_at if term_at < end else sign_at)
         key = tuple(exponent)
         terms[key] = terms.get(key, _ZERO) + coeff
-
-    sign = 1
-    if tokens[idx][0] == "sign":
-        sign = -1 if tokens[idx][1].group(0) == "-" else 1
-        idx += 1
-    parse_term(sign)
-    while idx < len(tokens):
-        kind, match, tline, tcol = tokens[idx]
-        if kind != "sign":
-            raise PolynomialSyntaxError("expected '+' or '-' between terms", tline, tcol)
-        idx += 1
-        parse_term(-1 if match.group(0) == "-" else 1)
     return Polynomial(arity, terms)
 
 

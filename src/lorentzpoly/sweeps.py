@@ -335,12 +335,8 @@ def _instances(spec: SweepSpec):
 
 def _repro_command(spec: SweepSpec, instance_id: str) -> str:
     parts = [f"lorentz sweep --family {spec.family}", f"--mode {spec.mode}"]
-    bounds = spec.bounds
-    for name in ("boxes", "parts", "vars", "n", "delta", "max_part"):
-        value = getattr(bounds, name)
-        if value is not None:
-            flag = name.replace("_", "-")
-            parts.append(f"--{flag} {value}")
+    for name, value in spec.bounds.to_dict().items():
+        parts.append(f"--{name.replace('_', '-')} {value}")
     parts.append(f"--only '{instance_id}'")
     return " ".join(parts)
 

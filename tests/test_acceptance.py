@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  Every
 tolerance is fixed here: all algebraic checks are exact (Fraction
-equality); the single numeric advisory check uses the documented 1e-8
-eigenvalue tolerance; wall-clock targets are asserted where stated.
+equality), the advisory log-concavity spot check included; wall-clock
+targets are asserted where stated.
 """
 
 import itertools
@@ -22,12 +22,11 @@ from lorentzpoly.certify import (
     inertia,
     is_m_convex,
     lorentzian_certify,
-    numeric_log_concavity_spot,
     quadratic_form_matrix,
     root_direction_violations,
     verify_certificate,
 )
-from lorentzpoly.oracles import inertia_by_sturm_bracketing
+from lorentzpoly.oracles import inertia_by_sturm_bracketing, numeric_log_concavity_spot
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,
@@ -426,23 +425,23 @@ def test_17_numeric_advisory(schur_m4_certified, schubert_s5, verma_certified):
         if not h:
             continue
         checked += 1
-        if not numeric_log_concavity_spot(h, positive_points(rng, h.arity), tol=1e-8):
+        if not numeric_log_concavity_spot(h, positive_points(rng, h.arity)):
             bad.append(label)
     for w, s in schubert_s5:
         checked += 1
         if not numeric_log_concavity_spot(
-            normalize(s), positive_points(rng, 5), tol=1e-8
+            normalize(s), positive_points(rng, 5)
         ):
             bad.append(repr(w))
     for label, h in verma_certified:
         if not h:
             continue
         checked += 1
-        if not numeric_log_concavity_spot(h, positive_points(rng, h.arity), tol=1e-8):
+        if not numeric_log_concavity_spot(h, positive_points(rng, h.arity)):
             bad.append(label)
     report(
         17,
         not bad,
-        f"log-Hessian negative semidefinite within 1e-8 at 10 random positive "
+        f"log-Hessian negative semidefinite (exact inertia) at 10 random positive "
         f"points for each of {checked} certified polynomials, failures: {bad[:3]}",
     )

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from lorentzpoly.polynomials import (
@@ -234,3 +236,61 @@ class TestTextFormat:
     def test_consecutive_signs_rejected(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("vars: 2\nx1 + - x2")
+
+
+# (text, message, line, column) for each kind of syntax error; the
+# positions are 1-based and count lines of the whole text, header included.
+SYNTAX_ERRORS = [
+    ("vars: 2\nx1 + 2 x2\n  + x1 @ x2", "unexpected character '@'", 3, 8),
+    ("vars: 2\nx1 +\n\tx x2", "unexpected character 'x'", 3, 2),
+    ("vars: 2\nx1^ x2", "unexpected character '^'", 2, 3),
+    ("vars: 2\n# comment\n3/ x1", "unexpected character '/'", 3, 2),
+    ("vars: 2\nx1 x2 2 x1 @", "unexpected character '@'", 2, 12),
+    ("vars: 2\nx1 - 3/0 x2", "zero denominator", 2, 6),
+    ("vars: 2\nx1 x2 +\n  x3^2", "variable x3 out of range for vars: 2", 3, 3),
+    ("vars: 2\nx0", "variable x0 out of range for vars: 2", 2, 1),
+    ("vars: 2\nx1 + - x2", "expected a term", 2, 6),
+    ("vars: 2\nx1 + x2 -  # dangling\n\n", "expected a term", 2, 9),
+    ("vars: 2\nx1\n2 x2", "expected '+' or '-' between terms", 3, 1),
+    ("# leading\nvars: 3  # header\n# just a comment\n   \n",
+     "empty polynomial body", 3, 1),
+    ("# nothing here\n\n", "missing header 'vars: n'", 3, 1),
+    ("\n  vars 2\nx1", "expected header 'vars: n'", 2, 3),
+    ("# c\nvars: 0\nx1", "arity must be positive", 2, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", SYNTAX_ERRORS)
+def test_syntax_error_message_and_position(text, message, line, column):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{message} (line {line}, column {column})", line, column
+    )
+
+
+GAPS = st.sampled_from([" ", "  ", "\t", "\n", " \n\t", " # note x1 + @\n", "\n# line\n"])
+
+
+@st.composite
+def polynomials(draw):
+    arity = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * arity)
+    coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return Polynomial(arity, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(polynomials(), st.data())
+def test_parse_inverts_format_across_gaps(p, data):
+    """Comments, tabs and newlines between tokens do not change the parse."""
+    header, body = format_polynomial(p).split("\n", 1)
+    tokens = body.split()
+    if tokens[0].startswith("-"):
+        tokens[:1] = ["-", tokens[0][1:]]
+    elif data.draw(st.booleans()):
+        tokens.insert(0, "+")
+    text = data.draw(GAPS) + header + data.draw(st.sampled_from(["\n", "  # arity\n"]))
+    for token in tokens:
+        text += data.draw(GAPS) + token
+    assert parse_polynomial(text + data.draw(GAPS)) == p
