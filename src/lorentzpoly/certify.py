@@ -7,12 +7,18 @@ resulting quadratic form has at most one positive eigenvalue.  Degree at
 most 1 and the zero polynomial are Lorentzian exactly when coefficients
 are nonnegative and the support is M-convex.
 
-Eigenvalue sign counts are computed exactly: scale the rational symmetric
-matrix to integers (inertia is invariant under positive scaling), take the
-characteristic polynomial by the Faddeev-LeVerrier recursion, strip the
-power of t dividing it, and count sign variations of the remaining
-coefficients.  Sign variations equal the positive-root count because a
-symmetric matrix has an all-real spectrum.
+Eigenvalue sign counts are computed exactly by congruence elimination.
+Scale the rational symmetric matrix to integers (inertia is invariant under
+positive scaling).  A nonzero diagonal pivot p is counted by its sign and
+eliminated: the remaining block becomes sign(p) (p a_ij - a_ik a_kj), which
+is congruent to |p| times the Schur complement, so by Sylvester's law of
+inertia the sign counts of the rest are unchanged.  The block is then
+divided by the gcd of its entries, as in Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968), which keeps the integers small.  When
+every remaining diagonal entry is zero but some a_ij is not, the
+substitution x_i <- x_i + x_j (adding row and column j to i) makes the new
+diagonal entry 2 a_ij.  Once the block is all zero, its size is the count
+of zero eigenvalues.
 
 M-convexity is decided by the rank function r(X) = max_{x in S} x(X) of
 the support S over the 2^m subsets X of its m varying coordinates.  A set
@@ -270,18 +276,61 @@ def characteristic_polynomial(matrix: SymmetricMatrix) -> list:
     return [Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)]
 
 
-def _signature_from_char_coeffs(coeffs, n: int) -> InertiaSignature:
-    """Sign counts from the integer coefficients of a monic det(tI - B)."""
-    zero = next(k for k, c in enumerate(coeffs) if c)  # power of t dividing it
-    signs = [c > 0 for c in coeffs[zero:] if c]
-    positive = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return InertiaSignature(positive, n - zero - positive, zero)
+def _inertia_int(rows) -> InertiaSignature:
+    """Sign counts of an integer symmetric matrix, by congruence elimination.
+
+    Overwrites ``rows``.  The live block is the set of rows and columns not
+    yet eliminated; every step keeps its inertia, up to the counted pivot.
+    """
+    live = list(range(len(rows)))
+    positive = negative = 0
+    while live:
+        k = next((k for k in live if rows[k][k]), None)
+        if k is None:
+            pair = next(
+                ((i, j) for a, i in enumerate(live) for j in live[a + 1 :] if rows[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            # x_i <- x_i + x_j: the zero diagonal entry at i becomes 2 a_ij
+            i, j = pair
+            row_i, row_j = rows[i], rows[j]
+            for t in live:
+                row_i[t] += row_j[t]
+            for t in live:
+                rows[t][i] += rows[t][j]
+            k = i
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        if p > 0:
+            positive += 1
+            sign = 1
+        else:
+            negative += 1
+            sign, p = -1, -p
+        live.remove(k)
+        g = 0
+        for a, i in enumerate(live):
+            row_i = rows[i]
+            c = sign * pivot_row[i]
+            for j in live[a:]:
+                value = p * row_i[j] - c * pivot_row[j]
+                row_i[j] = value
+                rows[j][i] = value
+                g = math.gcd(g, value)
+        if g > 1:
+            for i in live:
+                row_i = rows[i]
+                for j in live:
+                    row_i[j] //= g
+    return InertiaSignature(positive, negative, len(live))
 
 
 def inertia(matrix: SymmetricMatrix) -> InertiaSignature:
     """Exact eigenvalue sign counts (positive, negative, zero)."""
     scaled, _ = _integer_scaled(matrix)
-    return _signature_from_char_coeffs(_char_poly_int(scaled), matrix.dimension)
+    return _inertia_int(scaled)
 
 
 def quadratic_form_matrix(q: Polynomial) -> SymmetricMatrix:
@@ -467,7 +516,7 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
                         nonzero = True
             if not nonzero:
                 continue
-            signature = _signature_from_char_coeffs(_char_poly_int(matrix), n)
+            signature = _inertia_int(matrix)
             if signature.positive > 1:
                 return _failure_certificate(
                     poly,
@@ -570,32 +619,31 @@ def discrete_root_log_concavity(poly: Polynomial, mu, i: int, j: int) -> bool:
 def root_direction_violations(poly: Polynomial):
     """All (mu, i, j) where the root-direction log-concavity check fails.
 
-    For each direction e_i - e_j the support splits into lines; every
-    integer point of each line, padded by one step on both ends, is
-    checked.  Points farther out have all three relevant coefficients zero,
-    so this finite scan covers every mu in Z^n.
+    For each direction e_i - e_j the support splits into lines.  A point
+    mu can fail only strictly between the first and last support points of
+    its line: anywhere else one of its two neighbours on the line has
+    coefficient 0, and coeff(mu)^2 >= 0.  So this finite scan covers every
+    mu in Z^n.  The coefficients are scaled to integers once (a positive
+    scale keeps every inequality), and each line is read as a map from the
+    i-th exponent to its coefficient.
     """
+    scale = 1
+    for coeff in poly.terms.values():
+        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
+    coeffs = {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
     violations = []
     n = poly.arity
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
+    for i in range(n - 1):
+        for j in range(i + 1, n):
             lines = {}
-            for exponent in poly.terms:
-                rest = tuple(
-                    e for k, e in enumerate(exponent) if k not in (i - 1, j - 1)
-                )
-                key = (exponent[i - 1] + exponent[j - 1], rest)
-                lines.setdefault(key, []).append(exponent)
-            for members in lines.values():
-                positions = sorted(e[i - 1] for e in members)
-                base = members[0]
-                total = base[i - 1] + base[j - 1]
-                for t in range(positions[0] - 1, positions[-1] + 2):
-                    mu = list(base)
-                    mu[i - 1] = t
-                    mu[j - 1] = total - t
-                    if mu[j - 1] < 0 or t < 0:
-                        continue
-                    if not discrete_root_log_concavity(poly, mu, i, j):
-                        violations.append((tuple(mu), i, j))
+            for exponent, coeff in coeffs.items():
+                rest = (exponent[:i], exponent[i + 1 : j], exponent[j + 1 :])
+                line = lines.setdefault((exponent[i] + exponent[j], rest), {})
+                line[exponent[i]] = coeff
+            for (total, (head, middle, tail)), line in lines.items():
+                for t in range(min(line) + 1, max(line)):
+                    c = line.get(t, 0)
+                    if c * c < line.get(t - 1, 0) * line.get(t + 1, 0):
+                        mu = head + (t,) + middle + (total - t,) + tail
+                        violations.append((mu, i + 1, j + 1))
     return violations

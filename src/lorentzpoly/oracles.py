@@ -4,17 +4,26 @@ Each function here recomputes something the main modules produce, by a
 deliberately different method: Schur polynomials as a ratio of alternants
 (versus tableau enumeration), characteristic polynomials by minor
 expansion over column subsets (versus the Faddeev-LeVerrier recursion),
-eigenvalue sign counts by Sturm-chain interval bracketing refined
-until every root is separated from zero (versus Descartes counting), and
-the advisory log-concavity spot check, the exact inertia of the Hessian
-of log h at sample points (versus the Hessian certificate).
+eigenvalue sign counts by Descartes counting on the Faddeev-LeVerrier
+characteristic polynomial and by Sturm-chain interval bracketing of the
+minor-expansion one, refined until every root is separated from zero
+(both versus congruence elimination), the root-direction log-concavity
+scan by three exact coefficient lookups per point (versus integer
+lines), and the advisory log-concavity spot check, the exact inertia of
+the Hessian of log h at sample points (versus the Hessian certificate).
 """
 
 import itertools
 from fractions import Fraction
 
 from . import univariate
-from .certify import InertiaSignature, SymmetricMatrix, inertia
+from .certify import (
+    InertiaSignature,
+    SymmetricMatrix,
+    characteristic_polynomial,
+    discrete_root_log_concavity,
+    inertia,
+)
 from .polynomials import Polynomial, divide_by_variable_difference
 from .symmetric import Partition
 
@@ -85,6 +94,23 @@ def characteristic_polynomial_by_minors(matrix: SymmetricMatrix) -> list:
     return minors[tuple(range(n))]
 
 
+def _signature_from_char_coeffs(coeffs, n: int) -> InertiaSignature:
+    """Sign counts from the coefficients of a monic det(tI - M), ascending.
+
+    Sign variations equal the positive-root count because a symmetric
+    matrix has an all-real spectrum.
+    """
+    zero = next(k for k, c in enumerate(coeffs) if c)  # power of t dividing it
+    signs = [c > 0 for c in coeffs[zero:] if c]
+    positive = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return InertiaSignature(positive, n - zero - positive, zero)
+
+
+def inertia_by_char_poly(matrix: SymmetricMatrix) -> InertiaSignature:
+    """Sign counts by Descartes' rule on the Faddeev-LeVerrier polynomial."""
+    return _signature_from_char_coeffs(characteristic_polynomial(matrix), matrix.dimension)
+
+
 def _bracket_sign_counts(squarefree):
     """(positive, negative) distinct-root counts for a squarefree polynomial.
 
@@ -131,6 +157,39 @@ def inertia_by_sturm_bracketing(matrix: SymmetricMatrix) -> InertiaSignature:
     if positive + negative + zero != n:
         raise ArithmeticError("all eigenvalues of a symmetric matrix must be real")
     return InertiaSignature(positive, negative, zero)
+
+
+# -- root-direction log-concavity -----------------------------------------
+
+
+def root_direction_violations_by_lookup(poly: Polynomial):
+    """``root_direction_violations`` point by point: every integer point of
+    each line, padded by one step on both ends, checked by
+    ``discrete_root_log_concavity`` with its three coefficient lookups."""
+    violations = []
+    n = poly.arity
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            lines = {}
+            for exponent in poly.terms:
+                rest = tuple(
+                    e for k, e in enumerate(exponent) if k not in (i - 1, j - 1)
+                )
+                key = (exponent[i - 1] + exponent[j - 1], rest)
+                lines.setdefault(key, []).append(exponent)
+            for members in lines.values():
+                positions = sorted(e[i - 1] for e in members)
+                base = members[0]
+                total = base[i - 1] + base[j - 1]
+                for t in range(positions[0] - 1, positions[-1] + 2):
+                    mu = list(base)
+                    mu[i - 1] = t
+                    mu[j - 1] = total - t
+                    if mu[j - 1] < 0 or t < 0:
+                        continue
+                    if not discrete_root_log_concavity(poly, mu, i, j):
+                        violations.append((tuple(mu), i, j))
+    return violations
 
 
 # -- log-concavity spot check ----------------------------------------------

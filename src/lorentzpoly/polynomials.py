@@ -261,7 +261,7 @@ class Polynomial:
             if not 1 <= index <= self.arity:
                 raise ValueError(f"variable index {index} out of range 1..{self.arity}")
             if isinstance(value, str):
-                match = re.fullmatch(r"x(\d+)", value)
+                match = re.fullmatch(r"x([0-9]+)", value)
                 if not match or not 1 <= int(match.group(1)) <= self.arity:
                     raise ValueError(f"bad substitution target {value!r}")
                 renames[index - 1] = int(match.group(1)) - 1
@@ -397,6 +397,10 @@ def normalize(poly: Polynomial) -> Polynomial:
 # rational := int | int '/' posint
 # var      := 'x' index ['^' posint]
 #
+# int, index and posint are runs of the ASCII digits 0-9, in the header too;
+# the patterns spell out [0-9] because \d would also match other scripts'
+# digits, and re.ASCII would also narrow \s.
+#
 # Factors are whitespace-separated; '#' starts a comment running to end of
 # line; the arity is declared by a leading header line "vars: n".  Canonical
 # printing orders terms by descending total degree, ties broken by
@@ -406,11 +410,11 @@ def normalize(poly: Polynomial) -> Polynomial:
 _GAP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments
 # A well-formed body is a run of these pieces; where one match of the run
 # stops is the first unexpected character.
-_PIECES_RE = re.compile(r"(?:\s+|#[^\n]*|[+-]|x\d+(?:\^\d+)?|\d+(?:/\d+)?)*")
+_PIECES_RE = re.compile(r"(?:\s+|#[^\n]*|[+-]|x[0-9]+(?:\^[0-9]+)?|[0-9]+(?:/[0-9]+)?)*")
 _GAP_RE = re.compile(_GAP)
 _SIGN_RE = re.compile(r"([+-])" + _GAP)
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?" + _GAP)
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?" + _GAP)
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?" + _GAP)
+_VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?" + _GAP)
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -422,7 +426,7 @@ def parse_polynomial(text: str) -> Polynomial:
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        match = re.fullmatch(r"vars:\s*(\d+)", stripped)
+        match = re.fullmatch(r"vars:\s*([0-9]+)", stripped)
         if not match:
             raise PolynomialSyntaxError(
                 "expected header 'vars: n'", lineno + 1, raw.index(stripped[0]) + 1

@@ -1,9 +1,14 @@
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
+import lorentzpoly
 from lorentzpoly.certify import (
     InertiaSignature,
     SymmetricMatrix,
@@ -18,7 +23,12 @@ from lorentzpoly.certify import (
     root_direction_violations,
     verify_certificate,
 )
-from lorentzpoly.oracles import inertia_by_sturm_bracketing, numeric_log_concavity_spot
+from lorentzpoly.oracles import (
+    inertia_by_char_poly,
+    inertia_by_sturm_bracketing,
+    numeric_log_concavity_spot,
+    root_direction_violations_by_lookup,
+)
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import Permutation, schubert
 from lorentzpoly.symmetric import schur
@@ -310,3 +320,119 @@ class TestNumericSpot:
         b = 2 - Fraction(1, 10**12)
         h = Polynomial(2, {(2, 0): 1, (1, 1): b, (0, 2): 1})
         assert not numeric_log_concavity_spot(h, [(1, 1)])
+
+
+# -- the integer kernels against their oracles, on generated inputs --------
+
+MATRIX_SHAPES = ("dense", "sparse", "zero_diagonal", "low_rank", "rank_one", "block_diagonal")
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Integer or rational symmetric matrices up to 7 x 7, in the shapes that
+    take each branch of the elimination: zero-diagonal ones take the
+    x_i <- x_i + x_j step, low-rank ones end with a zero block."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(MATRIX_SHAPES))
+    if draw(st.booleans()):
+        values = st.integers(-6, 6).map(Fraction)
+    else:
+        values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    entries = st.one_of(st.just(Fraction(0)), values) if shape == "sparse" else values
+    if shape in ("low_rank", "rank_one"):
+        rank = 1 if shape == "rank_one" else draw(st.integers(0, n - 1))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(rank):
+            vector = draw(st.lists(values, min_size=n, max_size=n))
+            sign = draw(st.sampled_from((1, -1)))
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += sign * vector[i] * vector[j]
+        return SymmetricMatrix(rows)
+    split = draw(st.integers(0, n)) if shape == "block_diagonal" else n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i < split) != (j < split) or (shape == "zero_diagonal" and i == j):
+                continue
+            rows[i][j] = rows[j][i] = draw(entries)
+    return SymmetricMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_inertia_matches_char_poly_and_sturm(m):
+    signature = inertia(m)
+    assert signature == inertia_by_char_poly(m)
+    assert signature == inertia_by_sturm_bracketing(m)
+
+
+@st.composite
+def polynomials_for_scan(draw):
+    """Arity 1-4, homogeneous or not, with rational and negative coefficients."""
+    arity = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 5))
+        exponents = st.lists(
+            st.integers(0, arity - 1), min_size=degree, max_size=degree
+        ).map(lambda picks: tuple(picks.count(k) for k in range(arity)))
+    else:
+        exponents = st.tuples(*[st.integers(0, 4)] * arity)
+    coefficients = st.one_of(
+        st.integers(1, 30).map(Fraction),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    )
+    return Polynomial(arity, draw(st.dictionaries(exponents, coefficients, max_size=12)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(polynomials_for_scan())
+def test_root_direction_violations_match_lookup(h):
+    # the full list, in order, not only the verdict
+    assert root_direction_violations(h) == root_direction_violations_by_lookup(h)
+
+
+@st.composite
+def bivariate_forms(draw):
+    """Nonnegative bivariate forms of degree 2-8: products of nonnegative
+    linear forms (real-rooted, so ultra-log-concave), then some coefficients
+    changed or zeroed, which makes Hessian failures and internal zeros."""
+    degree = draw(st.integers(2, 8))
+    seq = [1]
+    for _ in range(degree):
+        a, b = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        seq = [a * (seq[k - 1] if k else 0) + b * (seq[k] if k < len(seq) else 0)
+               for k in range(len(seq) + 1)]
+    for k in draw(st.lists(st.integers(0, degree), max_size=3)):
+        seq[k] = draw(st.integers(0, 2 * seq[k] + 2))
+    return Polynomial(2, {(k, degree - k): Fraction(c) for k, c in enumerate(seq)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bivariate_forms())
+def test_certifier_agrees_with_bivariate_ulc(h):
+    certificate = lorentzian_certify(h)
+    assert certificate.is_lorentzian == bivariate_ulc(h)
+    assert verify_certificate(h, certificate)
+
+
+def test_hot_paths_use_the_integer_kernels():
+    # the char-poly sign count and the per-point lookup scan are oracles only
+    package = pathlib.Path(lorentzpoly.__file__).parent
+    names = {}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                names[path.name, node.name] = {
+                    getattr(sub, "id", None) or getattr(sub, "attr", None)
+                    for sub in ast.walk(node)
+                }
+    production = set().union(
+        *(used | {function} for (module, function), used in names.items()
+          if module != "oracles.py")
+    )
+    assert "_signature_from_char_coeffs" not in production
+    assert "_char_poly_int" not in names["certify.py", "lorentzian_certify"]
+    assert "_char_poly_int" not in names["certify.py", "inertia"]
+    scan = names["certify.py", "root_direction_violations"]
+    assert not scan & {"discrete_root_log_concavity", "coefficient"}

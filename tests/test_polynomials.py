@@ -269,6 +269,33 @@ def test_syntax_error_message_and_position(text, message, line, column):
     )
 
 
+# Digits are ASCII 0-9 only: a digit of another script (here Arabic-Indic)
+# is a syntax error in the header, in an index and in a coefficient.
+NON_ASCII_DIGITS = [
+    ("vars: \u0662\nx1 + 3 x2", "expected header 'vars: n'", 1, 1),
+    ("vars: 2\nx1 +\n x\u0661 x2", "unexpected character 'x'", 3, 2),
+    ("vars: 2\nx1 + \u0663 x2", "unexpected character '\u0663'", 2, 6),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", NON_ASCII_DIGITS)
+def test_non_ascii_digits_rejected(text, message, line, column):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{message} (line {line}, column {column})", line, column
+    )
+
+
+def test_specialize_rejects_non_ascii_index():
+    with pytest.raises(ValueError, match="bad substitution target"):
+        poly("vars: 2\nx1 x2").specialize({1: "x\u0661"})
+
+
+def test_unicode_whitespace_still_separates():
+    assert poly("vars:\u20032\nx1\u2003+\u00a0x2") == poly("vars: 2\nx1 + x2")
+
+
 GAPS = st.sampled_from([" ", "  ", "\t", "\n", " \n\t", " # note x1 + @\n", "\n# line\n"])
 
 
