@@ -36,15 +36,16 @@ first witness once the answer is "no", or when the rank test is skipped.
 
 Mixed partial derivatives commute, so derivative index sequences and
 multisets give identical quadratic forms; the certifier therefore
-enumerates sorted multisets only.  The quadratic form of the order-(d-2)
-derivative is read off termwise from the coefficients of the input: for a
-multiset with multiplicity vector a, the x_i x_j coefficient of the
-derivative is coeff(a + e_i + e_j) (a_i + 1)(a_j + 1) prod_k a_k! and the
-x_i^2 coefficient is coeff(a + 2 e_i) (a_i + 2)(a_i + 1) prod_k a_k! / 2.
-Dropping the shared positive factor prod_k a_k! / 2 leaves an integer
-matrix with the same inertia.  Witness re-verification goes the other way,
-through the public derivative chain, so each verdict is covered by two
-independent routes.
+enumerates sorted multisets only.  Every Hessian is read off the terms of
+the input in one pass.  With the coefficients scaled to integers, a term
+c x^e writes c e_i (e_j - [i = j]) at (i, j) and (j, i) of the matrix of
+the multiplicity vector alpha = e - e_i - e_j, for each i <= j where that
+value is nonzero.  Each entry of each matrix comes from exactly one term,
+and the Hessian of the derivative by alpha is alpha! times the matrix, a
+positive factor that leaves the inertia unchanged.  A multiset under no
+term has the zero derivative, which passes.  Witness re-verification goes
+the other way, through the public derivative chain, so each verdict is
+covered by two independent routes.
 """
 
 import itertools
@@ -87,6 +88,38 @@ def _exchange_ok(support, alpha, beta, i) -> bool:
     return False
 
 
+def _fill_rank(rank, columns, low, sums, first):
+    """Set rank[X] for every X above ``low`` with bits ``first`` and up;
+    ``sums`` lists p(low) for every point p, in the order of ``columns``."""
+    for k in range(first, len(columns)):
+        above = list(map(operator.add, sums, columns[k]))
+        rank[low | 1 << k] = max(above)
+        _fill_rank(rank, columns, low | 1 << k, above, k + 1)
+
+
+def _walk_base(lows, highs, prefixes, prefix, prefix_sums):
+    """Number of integer points of B(r) that extend ``prefix``, or None at
+    the first one whose leading coordinates are not in ``prefixes``.
+
+    ``prefix_sums`` lists y(X) for every subset X of the prefix, X read as
+    a bit mask; coordinate k ranges over the bounds in lows[k], highs[k].
+    """
+    k = len(prefix)
+    if k == len(lows):
+        return 1 if prefix in prefixes else None
+    lo = max(map(operator.sub, lows[k], prefix_sums))
+    hi = min(map(operator.sub, highs[k], prefix_sums))
+    count = 0
+    for t in range(lo, hi + 1):
+        below = _walk_base(
+            lows, highs, prefixes, prefix + (t,), prefix_sums + [s + t for s in prefix_sums]
+        )
+        if below is None:
+            return None
+        count += below
+    return count
+
+
 def _rank_m_convex(pts) -> bool:
     """M-convexity of a sorted, duplicate-free list of points of one arity
     m >= 1, decided through the rank function r(X) = max_{x in S} x(X).
@@ -101,15 +134,7 @@ def _rank_m_convex(pts) -> bool:
     m = len(pts[0])
     columns = list(zip(*pts))
     rank = [0] * (1 << m)  # rank[X], bit k of X standing for coordinate k
-
-    def fill(low, sums, first):
-        # sums lists p(low) for every point p, in the order of pts
-        for k in range(first, m):
-            above = list(map(operator.add, sums, columns[k]))
-            rank[low | 1 << k] = max(above)
-            fill(low | 1 << k, above, k + 1)
-
-    fill(0, [0] * len(pts), 0)
+    _fill_rank(rank, columns, 0, [0] * len(pts), 0)
     bits = [1 << k for k in range(m)]
     for low, base in enumerate(rank):
         free = [b for b in bits if not low & b]
@@ -128,22 +153,7 @@ def _rank_m_convex(pts) -> bool:
     ]
     highs = [[rank[low | 1 << k] for low in range(1 << k)] for k in range(m - 1)]
     prefixes = {p[:-1] for p in pts}
-    visited = 0
-
-    def walk(prefix, prefix_sums):
-        nonlocal visited
-        k = len(prefix)
-        if k == m - 1:
-            visited += 1
-            return prefix in prefixes
-        lo = max(map(operator.sub, lows[k], prefix_sums))
-        hi = min(map(operator.sub, highs[k], prefix_sums))
-        for t in range(lo, hi + 1):
-            if not walk(prefix + (t,), prefix_sums + [s + t for s in prefix_sums]):
-                return False
-        return True
-
-    return walk((), [0]) and visited == len(pts)
+    return _walk_base(lows, highs, prefixes, (), [0]) == len(pts)
 
 
 def _exchange_scan(pts, index):
@@ -258,12 +268,20 @@ def _char_poly_int(rows) -> list:
     return coeffs
 
 
+def _denominator_lcm(values) -> int:
+    """Least common multiple of the denominators of some Fractions.
+
+    An explicit gcd loop: ``math.lcm(*...)`` unpacks every value at once.
+    """
+    scale = 1
+    for value in values:
+        scale = scale * value.denominator // math.gcd(scale, value.denominator)
+    return scale
+
+
 def _integer_scaled(matrix: SymmetricMatrix):
     """Integer matrix L * M for the least positive L clearing denominators."""
-    scale = 1
-    for row in matrix.rows:
-        for value in row:
-            scale = scale * value.denominator // math.gcd(scale, value.denominator)
+    scale = _denominator_lcm(itertools.chain.from_iterable(matrix.rows))
     return [[int(v * scale) for v in row] for row in matrix.rows], scale
 
 
@@ -431,22 +449,6 @@ def _failure_certificate(poly, degree, checks, failure):
     return LorentzCertificate(NOT_LORENTZIAN, poly.arity, degree, tuple(checks), failure)
 
 
-def _derivative_candidates(terms, n: int):
-    """Multiplicity vectors a with |a| = d - 2 under some support point."""
-    seen = set()
-    for exponent in terms:
-        for i in range(n):
-            if exponent[i] == 0:
-                continue
-            for j in range(i, n):
-                alpha = list(exponent)
-                alpha[i] -= 1
-                alpha[j] -= 1
-                if alpha[i] >= 0 and alpha[j] >= 0:
-                    seen.add(tuple(alpha))
-    return seen
-
-
 def _multiset_indices(alpha) -> tuple:
     """1-based derivative indices of a multiplicity vector, sorted."""
     out = []
@@ -487,36 +489,27 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
 
     if degree is not None and degree >= 2:
         n = poly.arity
-        scale = 1
-        for coeff in poly.terms.values():
-            scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
-        coeffs = {e: int(c * scale) for e, c in poly.terms.items()}
-        candidates = sorted(
-            _derivative_candidates(coeffs, n), key=_multiset_indices
-        )
-        zero_row = [0] * n
-        for alpha in candidates:
-            matrix = [zero_row[:] for _ in range(n)]
-            nonzero = False
-            for i in range(n):
-                up_i = alpha[:i] + (alpha[i] + 2,) + alpha[i + 1 :]
-                c = coeffs.get(up_i)
-                if c:
-                    matrix[i][i] = c * (alpha[i] + 2) * (alpha[i] + 1)
-                    nonzero = True
-                for j in range(i + 1, n):
-                    up = list(alpha)
-                    up[i] += 1
-                    up[j] += 1
-                    c = coeffs.get(tuple(up))
-                    if c:
-                        value = c * (alpha[i] + 1) * (alpha[j] + 1)
-                        matrix[i][j] = value
-                        matrix[j][i] = value
-                        nonzero = True
-            if not nonzero:
-                continue
-            signature = _inertia_int(matrix)
+        scale = _denominator_lcm(poly.terms.values())
+        hessians = {}
+        for exponent, coeff in poly.terms.items():
+            c = coeff.numerator * (scale // coeff.denominator)
+            hot = [i for i in range(n) if exponent[i]]
+            for a, i in enumerate(hot):
+                for j in hot[a:]:
+                    value = c * exponent[i] * (exponent[j] - (i == j))
+                    if not value:
+                        continue
+                    alpha = list(exponent)
+                    alpha[i] -= 1
+                    alpha[j] -= 1
+                    alpha = tuple(alpha)
+                    matrix = hessians.get(alpha)
+                    if matrix is None:
+                        matrix = hessians[alpha] = [[0] * n for _ in range(n)]
+                    matrix[i][j] = value
+                    matrix[j][i] = value
+        for alpha in sorted(hessians, key=_multiset_indices):
+            signature = _inertia_int(hessians[alpha])
             if signature.positive > 1:
                 return _failure_certificate(
                     poly,
@@ -602,7 +595,12 @@ def discrete_root_log_concavity(poly: Polynomial, mu, i: int, j: int) -> bool:
     """
     if i == j:
         raise ValueError("indices must differ")
+    n = poly.arity
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"indices must lie in 1..{n}")
     mu = tuple(int(x) for x in mu)
+    if len(mu) != n:
+        raise ValueError(f"mu has length {len(mu)}, expected {n}")
 
     def coeff_at(shift_up, shift_down):
         e = list(mu)
@@ -627,9 +625,7 @@ def root_direction_violations(poly: Polynomial):
     scale keeps every inequality), and each line is read as a map from the
     i-th exponent to its coefficient.
     """
-    scale = 1
-    for coeff in poly.terms.values():
-        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
+    scale = _denominator_lcm(poly.terms.values())
     coeffs = {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
     violations = []
     n = poly.arity

@@ -9,8 +9,10 @@ characteristic polynomial and by Sturm-chain interval bracketing of the
 minor-expansion one, refined until every root is separated from zero
 (both versus congruence elimination), the root-direction log-concavity
 scan by three exact coefficient lookups per point (versus integer
-lines), and the advisory log-concavity spot check, the exact inertia of
-the Hessian of log h at sample points (versus the Hessian certificate).
+lines), the first Hessian failure by differentiating once per derivative
+multiset (versus one pass over the terms), and the advisory
+log-concavity spot check, the exact inertia of the Hessian of log h at
+sample points (versus the Hessian certificate).
 """
 
 import itertools
@@ -23,6 +25,7 @@ from .certify import (
     characteristic_polynomial,
     discrete_root_log_concavity,
     inertia,
+    quadratic_form_matrix,
 )
 from .polynomials import Polynomial, divide_by_variable_difference
 from .symmetric import Partition
@@ -157,6 +160,26 @@ def inertia_by_sturm_bracketing(matrix: SymmetricMatrix) -> InertiaSignature:
     if positive + negative + zero != n:
         raise ArithmeticError("all eigenvalues of a symmetric matrix must be real")
     return InertiaSignature(positive, negative, zero)
+
+
+# -- Hessians of the order-(d - 2) derivatives ---------------------------
+
+
+def first_hessian_failure_by_derivatives(poly: Polynomial):
+    """(multiset, inertia) of the first sorted multiset of d - 2 derivative
+    indices whose quadratic form has two or more positive eigenvalues, or
+    None.  Each multiset is differentiated on its own with
+    ``Polynomial.derivative``; ``poly`` must be homogeneous of degree d."""
+    degree = poly.homogeneous_degree()
+    if degree is None or degree < 2:
+        return None
+    n = poly.arity
+    for multiset in itertools.combinations_with_replacement(range(1, n + 1), degree - 2):
+        mu = [multiset.count(i) for i in range(1, n + 1)]
+        signature = inertia(quadratic_form_matrix(poly.derivative(mu)))
+        if signature.positive > 1:
+            return multiset, signature
+    return None
 
 
 # -- root-direction log-concavity -----------------------------------------

@@ -514,8 +514,6 @@ def format_terms(poly: Polynomial) -> str:
     return " ".join(pieces)
 
 
-def format_polynomial(poly: Polynomial, header: bool = True) -> str:
-    body = format_terms(poly)
-    if header:
-        return f"vars: {poly.arity}\n{body}\n"
-    return body
+def format_polynomial(poly: Polynomial) -> str:
+    """The text format: header line ``vars: n``, then the canonical body."""
+    return f"vars: {poly.arity}\n{format_terms(poly)}\n"

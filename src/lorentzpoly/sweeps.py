@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .certify import (
+    SupportNotMConvex,
     lorentzian_certify,
     m_convex_failure,
     root_direction_violations,
@@ -365,12 +366,7 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
                 "instance": instance_id,
                 "target": "support",
                 "detail": f"exchange fails at alpha={alpha} beta={beta} i={index}",
-                "certificate": {
-                    "kind": "support_not_m_convex",
-                    "alpha": list(alpha),
-                    "beta": list(beta),
-                    "index": index,
-                },
+                "certificate": SupportNotMConvex(*witness).to_dict(),
                 "repro": _repro_command(spec, instance_id),
             }
         return None
@@ -408,11 +404,7 @@ def _guarded_check(spec: SweepSpec, instance_id: str, payload):
 
 
 def _worker(args):
-    spec_dict, instance_id, payload = args
-    spec = SweepSpec(
-        spec_dict["family"], spec_dict["mode"], SweepBounds(**spec_dict["bounds"])
-    )
-    return _guarded_check(spec, instance_id, payload)
+    return _guarded_check(*args)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> SweepReport:
@@ -434,8 +426,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> Swe
     else:
         import multiprocessing
 
-        spec_dict = spec.to_dict()
-        tasks = [(spec_dict, instance_id, payload) for instance_id, payload in instances]
+        tasks = [(spec, instance_id, payload) for instance_id, payload in instances]
         with multiprocessing.Pool(jobs) as pool:
             for failure in pool.imap_unordered(_worker, tasks, chunksize=8):
                 if failure is not None:

@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import pathlib
 import random
@@ -10,6 +11,7 @@ import pytest
 
 import lorentzpoly
 from lorentzpoly.certify import (
+    HessianFailure,
     InertiaSignature,
     SymmetricMatrix,
     bivariate_ulc,
@@ -24,6 +26,7 @@ from lorentzpoly.certify import (
     verify_certificate,
 )
 from lorentzpoly.oracles import (
+    first_hessian_failure_by_derivatives,
     inertia_by_char_poly,
     inertia_by_sturm_bracketing,
     numeric_log_concavity_spot,
@@ -234,6 +237,20 @@ class TestCertifier:
         assert good["verdict"] == "Lorentzian" and good["failure"] is None
 
 
+def test_certifier_leaves_no_reference_cycles():
+    # the M-convexity rank test runs here, then every Hessian
+    h = normalize(schur((3, 2, 1), 4))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert m_convex_failure(h.terms) is None
+            assert lorentzian_certify(h).is_lorentzian
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestBivariateUlc:
     def test_perfect_square(self):
         assert bivariate_ulc(poly("vars: 2\nx1^2 + 2 x1 x2 + x2^2"))
@@ -275,6 +292,17 @@ class TestDiscreteLogConcavity:
     def test_requires_distinct_indices(self):
         with pytest.raises(ValueError):
             discrete_root_log_concavity(schur((2, 0), 2), (1, 1), 1, 1)
+
+    @pytest.mark.parametrize("mu, i, j", [
+        ((1, 1, 0), 0, 2),  # index 0 would wrap round to x3
+        ((1, 1, 0), 1, 4),  # index arity + 1
+        ((1, 1), 1, 2),  # mu shorter than the arity
+    ])
+    def test_rejects_out_of_range_arguments(self, mu, i, j):
+        h = poly("vars: 3\nx1^2 + x1 x2 + 3 x2^2 + x3")
+        assert not discrete_root_log_concavity(h, (1, 1, 0), 1, 2)
+        with pytest.raises(ValueError):
+            discrete_root_log_concavity(h, mu, i, j)
 
     def test_full_table_sweep(self):
         assert root_direction_violations(schur((2, 1), 3)) == []
@@ -414,6 +442,41 @@ def test_certifier_agrees_with_bivariate_ulc(h):
     certificate = lorentzian_certify(h)
     assert certificate.is_lorentzian == bivariate_ulc(h)
     assert verify_certificate(h, certificate)
+
+
+@st.composite
+def raised_products_of_linear_forms(draw):
+    """Products of 2-4 nonnegative linear forms in 3-5 variables, so
+    Lorentzian with M-convex support; every other one has one coefficient
+    multiplied up, which keeps the support and can fail a Hessian."""
+    n = draw(st.integers(3, 5))
+    weights = st.one_of(
+        st.integers(0, 3).map(Fraction),
+        st.fractions(min_value=0, max_value=3, max_denominator=4),
+    )
+    h = Polynomial.constant(n, 1)
+    for _ in range(draw(st.integers(2, 4))):
+        row = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+        h = h * Polynomial(n, {
+            tuple(int(k == i) for k in range(n)): w for i, w in enumerate(row) if w
+        })
+    if draw(st.booleans()):
+        terms = dict(h.terms)
+        raised = draw(st.sampled_from(sorted(terms)))
+        terms[raised] *= draw(st.integers(2, 30))
+        h = Polynomial(n, terms)
+    return h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(raised_products_of_linear_forms())
+def test_hessian_pass_matches_derivative_oracle(h):
+    certificate = lorentzian_certify(h)
+    expected = first_hessian_failure_by_derivatives(h)
+    if expected is None:
+        assert certificate.is_lorentzian
+    else:
+        assert certificate.failure == HessianFailure(*expected)
 
 
 def test_hot_paths_use_the_integer_kernels():
