@@ -33,6 +33,13 @@ so they are dropped first; the rank test runs only when 2^m <= |S|, which
 keeps it within the O(|S|^2) of the pairwise scan.  The scan of the
 exchange axiom over all pairs runs only to find the lexicographically
 first witness once the answer is "no", or when the rank test is skipped.
+It works on bit masks: for each point x and index i it precomputes the
+set of j with x - e_i + e_j in S and the set of j with x + e_i - e_j in
+S, so (alpha, beta, i) violates the axiom exactly when the first set of
+alpha, the second set of beta and the set of j with alpha_j < beta_j
+have no common element.  Packing each point into one integer, a field
+per coordinate, gives the neighbours x +- e_j by one addition and the
+coordinate comparisons of a pair by one subtraction.
 
 Mixed partial derivatives commute, so derivative index sequences and
 multisets give identical quadratic forms; the certifier therefore
@@ -156,17 +163,54 @@ def _rank_m_convex(pts) -> bool:
     return _walk_base(lows, highs, prefixes, (), [0]) == len(pts)
 
 
-def _exchange_scan(pts, index):
-    """First exchange violation over the pairs of sorted ``pts``, or None."""
-    for a_pos, alpha in enumerate(pts):
-        for beta in pts[a_pos + 1 :]:
-            for i in range(len(alpha)):
-                if alpha[i] > beta[i]:
-                    if not _exchange_ok(index, alpha, beta, i):
-                        return (alpha, beta, i + 1)
-                elif beta[i] > alpha[i]:
-                    if not _exchange_ok(index, beta, alpha, i):
-                        return (beta, alpha, i + 1)
+def _exchange_scan(pts):
+    """First exchange violation over the pairs of sorted ``pts``, or None.
+
+    Each point x is packed into one integer: coordinate k, shifted into
+    1..D, fills a field of w bits whose top bit, the guard bit g_k, stays
+    clear (D < 2^(w-1)).  A neighbour x +- e_j is then the key +- 2^(jw),
+    and a set of coordinates is a mask of guard bits.  For each point and
+    each i, ``outs`` holds the mask of the j with x - e_i + e_j in S and
+    ``ins`` the mask of the j with x + e_i - e_j in S.  For a pair, setting
+    the guard bits of one key and subtracting the other leaves g_k set
+    where the first coordinate is at least the second, which gives the
+    mask ``up`` of the j with alpha_j < beta_j.  Then (alpha, beta, i) is
+    a violation exactly when outs[alpha][i] & ins[beta][i] & up is 0.
+    """
+    if len(pts) < 2:
+        return None
+    n = len(pts[0])
+    columns = list(zip(*pts))
+    offsets = [min(col) - 1 for col in columns]
+    width = max(max(col) - low for col, low in zip(columns, offsets)).bit_length() + 1
+    shifts = range(0, n * width, width)
+    keys = [sum(map(operator.lshift, map(operator.sub, x, offsets), shifts)) for x in pts]
+    steps = [1 << shift for shift in shifts]
+    guards = [step << (width - 1) for step in steps]
+    high = sum(guards)
+    below = {}  # key of z -> guard bits of the j with z + e_j in S
+    above = {}  # key of z -> guard bits of the j with z - e_j in S
+    for key in keys:
+        for step, g in zip(steps, guards):
+            below[key - step] = below.get(key - step, 0) | g
+            above[key + step] = above.get(key + step, 0) | g
+    outs = [{g: below[key - step] for step, g in zip(steps, guards)} for key in keys]
+    ins = [{g: above[key + step] for step, g in zip(steps, guards)} for key in keys]
+    raised = [key | high for key in keys]
+    for a_pos, a_key in enumerate(keys):
+        a_out, a_in, a_raised = outs[a_pos], ins[a_pos], raised[a_pos]
+        for b_pos in range(a_pos + 1, len(keys)):
+            up = high ^ (a_raised - keys[b_pos]) & high  # alpha_j < beta_j
+            down = high ^ (raised[b_pos] - a_key) & high  # alpha_j > beta_j
+            moved = up | down
+            while moved:
+                g = moved & -moved
+                moved ^= g
+                if down & g:
+                    if not a_out[g] & ins[b_pos][g] & up:
+                        return (pts[a_pos], pts[b_pos], g.bit_length() // width)
+                elif not outs[b_pos][g] & a_in[g] & down:
+                    return (pts[b_pos], pts[a_pos], g.bit_length() // width)
     return None
 
 
@@ -180,8 +224,7 @@ def m_convex_failure(points):
     varying coordinates span at most log2 |S| dimensions; the pairwise scan
     runs only to find the witness, or when the rank test would cost more.
     """
-    index = {tuple(p) for p in points}
-    pts = sorted(index)
+    pts = sorted({tuple(p) for p in points})
     if pts:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
@@ -190,7 +233,7 @@ def m_convex_failure(points):
     varying = [col for col in zip(*pts) if min(col) != max(col)]
     if varying and 2 ** len(varying) <= len(pts) and _rank_m_convex(list(zip(*varying))):
         return None
-    return _exchange_scan(pts, index)
+    return _exchange_scan(pts)
 
 
 def is_m_convex(points) -> bool:
@@ -473,11 +516,11 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
     checks.append(CHECK_HOMOGENEOUS)
     degree = degrees[0] if degrees else None
 
-    for exponent in sorted(poly.terms):
-        if poly.terms[exponent] < 0:
-            return _failure_certificate(
-                poly, degree, checks, NegativeCoefficient(exponent)
-            )
+    negative = [exponent for exponent, coeff in poly.terms.items() if coeff < 0]
+    if negative:
+        return _failure_certificate(
+            poly, degree, checks, NegativeCoefficient(min(negative))
+        )
     checks.append(CHECK_NONNEGATIVE)
 
     witness = m_convex_failure(poly.terms)

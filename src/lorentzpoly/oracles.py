@@ -9,7 +9,9 @@ characteristic polynomial and by Sturm-chain interval bracketing of the
 minor-expansion one, refined until every root is separated from zero
 (both versus congruence elimination), the root-direction log-concavity
 scan by three exact coefficient lookups per point (versus integer
-lines), the first Hessian failure by differentiating once per derivative
+lines), the first exchange-axiom violation by building and looking up the
+moved points of every pair (versus bit masks of the moves within the
+set), the first Hessian failure by differentiating once per derivative
 multiset (versus one pass over the terms), and the advisory
 log-concavity spot check, the exact inertia of the Hessian of log h at
 sample points (versus the Hessian certificate).
@@ -21,6 +23,7 @@ from fractions import Fraction
 from . import univariate
 from .certify import (
     InertiaSignature,
+    _exchange_ok,
     SymmetricMatrix,
     characteristic_polynomial,
     discrete_root_log_concavity,
@@ -160,6 +163,27 @@ def inertia_by_sturm_bracketing(matrix: SymmetricMatrix) -> InertiaSignature:
     if positive + negative + zero != n:
         raise ArithmeticError("all eigenvalues of a symmetric matrix must be real")
     return InertiaSignature(positive, negative, zero)
+
+
+# -- the exchange axiom -----------------------------------------------------
+
+
+def exchange_scan_by_pairs(pts, index):
+    """First exchange violation over the pairs of sorted ``pts``, or None.
+
+    Each (alpha, beta, i) with alpha_i > beta_i is checked by
+    ``_exchange_ok``, which builds the moved points and looks them up in
+    the set ``index``."""
+    for a_pos, alpha in enumerate(pts):
+        for beta in pts[a_pos + 1 :]:
+            for i in range(len(alpha)):
+                if alpha[i] > beta[i]:
+                    if not _exchange_ok(index, alpha, beta, i):
+                        return (alpha, beta, i + 1)
+                elif beta[i] > alpha[i]:
+                    if not _exchange_ok(index, beta, alpha, i):
+                        return (beta, alpha, i + 1)
+    return None
 
 
 # -- Hessians of the order-(d - 2) derivatives ---------------------------

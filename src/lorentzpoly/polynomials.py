@@ -5,6 +5,12 @@ vectors (tuples of ``m`` nonnegative ints) to nonzero ``Fraction``
 coefficients.  The zero polynomial is the empty map.  All arithmetic is
 exact; nothing in this module touches floating point.
 
+The constructor builds one Fraction per term: a coefficient that already
+is one is kept as it is, and coefficients are added only where an
+exponent repeats.  Exponents must be sequences of nonnegative ints.  The
+parser reads sign, numerator and denominator of each term as ints and
+likewise makes one Fraction per term.
+
 The module also provides the normalization operator ``normalize`` sending
 each monomial x^mu to x^mu / mu! (componentwise factorials), and the
 canonical text format used by the command line tools and the bundled
@@ -21,6 +27,8 @@ from fractions import Fraction
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class PolynomialSyntaxError(ValueError):
@@ -59,13 +67,21 @@ class Polynomial:
                 raise ValueError(
                     f"exponent {exponent} has length {len(exponent)}, expected {arity}"
                 )
-            if any(e < 0 for e in exponent):
-                raise ValueError(f"negative exponent in {exponent}")
-            coeff = Fraction(coeff)
-            if coeff:
-                canonical[exponent] = canonical.get(exponent, _ZERO) + coeff
-                if not canonical[exponent]:
+            if not all(isinstance(e, int) and e >= 0 for e in exponent):
+                if all(isinstance(e, int) for e in exponent):
+                    raise ValueError(f"negative exponent in {exponent}")
+                raise ValueError(f"non-integer exponent {exponent}")
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if not coeff:
+                continue
+            previous = canonical.get(exponent)
+            if previous is not None:
+                coeff += previous
+                if not coeff:
                     del canonical[exponent]
+                    continue
+            canonical[exponent] = coeff
         self.arity = arity
         self.terms = canonical
 
@@ -460,16 +476,19 @@ def parse_polynomial(text: str) -> Polynomial:
             pos = match.end()
         elif terms:  # only the first term may omit its sign
             fail("expected '+' or '-' between terms", pos)
-        coeff = Fraction(-1 if match and match.group(1) == "-" else 1)
+        negative = match is not None and match.group(1) == "-"
         exponent = [0] * arity
         term_at = pos
         match = _RATIONAL_RE.match(body, pos)
         if match:
+            num = int(match.group(1))
             den = int(match.group(2) or 1)
             if den == 0:
                 fail("zero denominator", pos)
-            coeff *= Fraction(int(match.group(1)), den)
+            coeff = Fraction(-num if negative else num, den)
             pos = match.end()
+        else:
+            coeff = _MINUS_ONE if negative else _ONE
         while match := _VAR_RE.match(body, pos):
             vindex = int(match.group(1))
             if not 1 <= vindex <= arity:
@@ -479,8 +498,10 @@ def parse_polynomial(text: str) -> Polynomial:
         if pos == term_at:  # a sign that ends the body is reported at the sign
             fail("expected a term", term_at if term_at < end else sign_at)
         key = tuple(exponent)
-        terms[key] = terms.get(key, _ZERO) + coeff
-    return Polynomial(arity, terms)
+        previous = terms.get(key)
+        terms[key] = coeff if previous is None else previous + coeff
+    # the exponents are built here, so only zero sums need dropping
+    return Polynomial._raw(arity, {e: c for e, c in terms.items() if c})
 
 
 def _term_order_key(exponent: Exponent):

@@ -13,6 +13,7 @@ import lorentzpoly
 from lorentzpoly.certify import (
     HessianFailure,
     InertiaSignature,
+    NegativeCoefficient,
     SymmetricMatrix,
     bivariate_ulc,
     characteristic_polynomial,
@@ -169,6 +170,13 @@ class TestCertifier:
         cert = lorentzian_certify(poly("vars: 2\nx1 x2 - x2^2"))
         assert cert.failure.kind == "negative_coefficient"
         assert cert.failure.exponent == (0, 2)
+
+    def test_negative_coefficient_names_the_smallest_exponent(self):
+        # written largest first; the witness is the smallest negative exponent
+        text = "vars: 3\n- x1 x3 + x1^2 - x2 x3 + x1 x2 - 2 x3^2 + x2^2"
+        cert = lorentzian_certify(poly(text))
+        assert cert.failure == NegativeCoefficient((0, 0, 2))
+        assert verify_certificate(poly(text), cert)
 
     def test_support_gap(self):
         cert = lorentzian_certify(poly("vars: 2\nx1^2 + x2^2"))
@@ -499,3 +507,5 @@ def test_hot_paths_use_the_integer_kernels():
     assert "_char_poly_int" not in names["certify.py", "inertia"]
     scan = names["certify.py", "root_direction_violations"]
     assert not scan & {"discrete_root_log_concavity", "coefficient"}
+    # the witness scan works on bit masks; _exchange_ok re-checks witnesses
+    assert "_exchange_ok" not in names["certify.py", "_exchange_scan"]

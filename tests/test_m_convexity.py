@@ -1,17 +1,20 @@
-"""The rank test of M-convexity against the pairwise exchange scan.
+"""The rank test and the bit-mask exchange scan against the pair-by-pair scan.
 
 ``m_convex_failure`` decides through the rank function of the support's
-base polyhedron and scans pairs only for the witness; the scan alone,
-``certify._exchange_scan``, is the slow oracle.  Both must give the same
-verdict and the same first witness on every input.
+base polyhedron and scans pairs only for the witness, with
+``certify._exchange_scan`` on bit masks of the moves within the set.  The
+slow oracle, ``oracles.exchange_scan_by_pairs``, builds and looks up the
+moved points of every pair.  All must give the same verdict and the same
+first witness on every input.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from lorentzpoly import certify
 from lorentzpoly.certify import m_convex_failure
+from lorentzpoly.oracles import exchange_scan_by_pairs
 from lorentzpoly.polynomials import normalize
 from lorentzpoly.sweeps import (
     FAMILIES,
@@ -28,7 +31,7 @@ GENERATED = settings(max_examples=150, deadline=2000, derandomize=True, database
 
 
 def scan(points):
-    return certify._exchange_scan(sorted(points), set(points))
+    return exchange_scan_by_pairs(sorted(points), set(points))
 
 
 def assert_agrees(points):
@@ -91,6 +94,53 @@ def negative_entry_sets(draw):
         return {tuple(v + s for v, s in zip(point, shift)) for point in support}
     n = draw(st.integers(1, 4))
     return draw(st.sets(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=12))
+
+
+@st.composite
+def thinned_products(draw):
+    """A product support with any number of its points removed."""
+    support = draw(linear_form_products())
+    removed = draw(st.sets(st.sampled_from(sorted(support)), max_size=len(support) - 1))
+    return support - removed
+
+
+def varying(points):
+    return sum(min(col) != max(col) for col in zip(*points))
+
+
+@st.composite
+def rank_test_skipped(draw):
+    """Sets whose m varying coordinates have 2^m > |S|, so only the scan runs:
+    a few points of one degree, of mixed degrees, or with large or negative
+    entries."""
+    n = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        pool = compositions(draw(st.integers(1, 4)), n)
+        points = draw(st.sets(st.sampled_from(pool), min_size=2, max_size=7))
+    else:
+        entry = st.integers(-2, 2) | st.integers(0, 300)
+        points = draw(st.sets(st.tuples(*[entry] * n), min_size=2, max_size=7))
+    assume(2 ** varying(points) > len(points))
+    return points
+
+
+@GENERATED
+@given(st.one_of(thinned_products(), edited_products(), rank_test_skipped()))
+def test_bitmask_scan_names_the_oracle_witness(points):
+    pts = sorted(points)
+    assert certify._exchange_scan(pts) == exchange_scan_by_pairs(pts, set(points))
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 2, 1), (0, 3, 0), (1, 1, 1), (1, 2, 0), (2, 0, 1), (3, 0, 0)],
+    [(0, 1, 2), (1, 0, 2), (1, 1, 1), (2, 1, 0), (3, 0, 0)],
+])
+def test_witness_led_by_the_earlier_point(points):
+    """Rare sets whose first witness has alpha before beta in sorted order:
+    the pair passes at its first differing coordinate and fails later."""
+    witness = exchange_scan_by_pairs(points, set(points))
+    assert witness[0] < witness[1]
+    assert certify._exchange_scan(points) == witness
 
 
 @GENERATED

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -47,6 +48,57 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(2, {(-1, 0): 1})
+
+    @pytest.mark.parametrize("exponent", [(1.5, 0.5), (1.0, 1), (Fraction(1), 0), ("1", 0)])
+    def test_non_integer_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match=re.escape(str(exponent))):
+            Polynomial(2, {exponent: 1})
+
+
+class Entries:
+    """A ``terms`` argument whose items may repeat an exponent, as a list
+    or as a tuple, which a dict cannot hold."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+@st.composite
+def term_entries(draw):
+    """(arity, entries): exponents given as lists or tuples, coefficients as
+    ints, strings or Fractions, and some entries followed by their negation."""
+    arity = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * arity)
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    entries = []
+    for exponent, value in draw(st.lists(st.tuples(exponents, values), max_size=10)):
+        for value in [value, -value] if draw(st.booleans()) else [value]:
+            key = draw(st.sampled_from([tuple, list]))(exponent)
+            coeff = draw(st.sampled_from([
+                value,
+                str(value),
+                *([value.numerator] if value.denominator == 1 else []),
+            ]))
+            entries.append((key, coeff))
+    return arity, entries
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(term_entries())
+def test_constructor_sums_repeated_exponents(case):
+    arity, entries = case
+    expected = {}
+    for exponent, coeff in entries:
+        key = tuple(exponent)
+        expected[key] = expected.get(key, 0) + Fraction(coeff)
+    expected = {e: c for e, c in expected.items() if c}
+    p = Polynomial(arity, Entries(entries))
+    assert p.terms == expected
+    assert all(p.terms.values())
+    assert all(type(c) is Fraction for c in p.terms.values())
 
 
 class TestArithmetic:
@@ -218,6 +270,19 @@ class TestTextFormat:
 
     def test_repeated_monomial_accumulates(self):
         assert poly("vars: 1\nx1 + x1") == poly("vars: 1\n2 x1")
+
+    @pytest.mark.parametrize("body, terms", [
+        ("x1 - x1 + x2", {(0, 1): 1}),
+        ("2/4 x1 + 1/2 x1", {(1, 0): 1}),
+        ("0 x1 + x2", {(0, 1): 1}),
+        ("x1 - x1", {}),
+        ("-3/6 x2 + 1", {(0, 1): Fraction(-1, 2), (0, 0): 1}),
+    ])
+    def test_sums_and_zeros(self, body, terms):
+        p = parse_polynomial(f"vars: 2\n{body}")
+        assert p.terms == terms
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p == Polynomial(2, terms)
 
     def test_missing_header(self):
         with pytest.raises(PolynomialSyntaxError):
