@@ -1,9 +1,11 @@
 """Independent cross-check routes for the primary algorithms.
 
 Each function here recomputes something the main modules produce, by a
-deliberately different method: Schur polynomials as a ratio of alternants
-(versus tableau enumeration), characteristic polynomials by minor
-expansion over column subsets (versus the Faddeev-LeVerrier recursion),
+deliberately different method: the alternant a_alpha = det(x_i^{alpha_j}),
+through which the tests check the alternant identity s_lambda a_delta =
+a_{lambda + delta} (versus tableau enumeration), characteristic
+polynomials by minor expansion over column subsets (versus the
+Faddeev-LeVerrier recursion),
 eigenvalue sign counts by Descartes counting on the Faddeev-LeVerrier
 characteristic polynomial and by Sturm-chain interval bracketing of the
 minor-expansion one, refined until every root is separated from zero
@@ -30,11 +32,10 @@ from .certify import (
     inertia,
     quadratic_form_matrix,
 )
-from .polynomials import Polynomial, divide_by_variable_difference
-from .symmetric import Partition
+from .polynomials import Polynomial
 
 
-def _alternant(exponents, m: int) -> Polynomial:
+def alternant(exponents, m: int) -> Polynomial:
     """det(x_i^{a_j}) expanded as a signed permutation sum."""
     terms = {}
     for perm in itertools.permutations(range(m)):
@@ -46,22 +47,6 @@ def _alternant(exponents, m: int) -> Polynomial:
         exponent = tuple(exponents[perm[i]] for i in range(m))
         terms[exponent] = terms.get(exponent, 0) + sign
     return Polynomial(m, {e: Fraction(c) for e, c in terms.items() if c})
-
-
-def schur_bialternant(lam, m: int) -> Polynomial:
-    """Schur polynomial as det(x_i^{lam_j + m - j}) / det(x_i^{m - j}).
-
-    The denominator is the Vandermonde product of the x_i - x_j, divided
-    out exactly one binomial at a time.
-    """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if len(lam) > m:
-        return Polynomial.zero(m)
-    numerator = _alternant([lam.part(j) + m - j for j in range(1, m + 1)], m)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            numerator = divide_by_variable_difference(numerator, i, j)
-    return numerator
 
 
 def characteristic_polynomial_by_minors(matrix: SymmetricMatrix) -> list:

@@ -208,14 +208,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int) -> "Polynomial":
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        result = Polynomial.constant(self.arity, 1)
-        for _ in range(power):
-            result = result * self
-        return result
-
     # -- calculus and structural operations ----------------------------
 
     def partial_derivative(self, index: int) -> "Polynomial":
@@ -331,69 +323,6 @@ class Polynomial:
         return Polynomial._raw(arity, {e + pad: c for e, c in self.terms.items()})
 
 
-# -- variable swaps and exact division ---------------------------------
-
-
-def swap_variables(poly: Polynomial, i: int, j: int) -> Polynomial:
-    """Interchange x_i and x_j (1-based indices)."""
-    if i == j:
-        return poly
-    a, b = i - 1, j - 1
-    out = {}
-    for exponent, coeff in poly.terms.items():
-        e = list(exponent)
-        e[a], e[b] = e[b], e[a]
-        out[tuple(e)] = coeff
-    return Polynomial._raw(poly.arity, out)
-
-
-def divide_by_variable_difference(poly: Polynomial, i: int, j: int) -> Polynomial:
-    """Exact quotient poly / (x_i - x_j); raises if the division is inexact.
-
-    Synthetic division along the powers of x_i: writing
-    poly = sum_k A_k x_i^k, the quotient B satisfies B_{k-1} = A_k + x_j B_k
-    from the top power down, and the final remainder A_0 + x_j B_0 must
-    vanish.
-    """
-    if i == j:
-        raise ValueError("divisor x_i - x_j requires distinct variables")
-    a, b = i - 1, j - 1
-    levels: dict[int, dict[Exponent, Fraction]] = {}
-    for exponent, coeff in poly.terms.items():
-        k = exponent[a]
-        stripped = exponent[:a] + (0,) + exponent[a + 1 :]
-        levels.setdefault(k, {})[stripped] = coeff
-    top = max(levels, default=0)
-    quotient: dict[Exponent, Fraction] = {}
-    carry: dict[Exponent, Fraction] = {}
-    for k in range(top, 0, -1):
-        layer = dict(carry)
-        for exponent, coeff in levels.get(k, {}).items():
-            acc = layer.get(exponent, _ZERO) + coeff
-            if acc:
-                layer[exponent] = acc
-            else:
-                del layer[exponent]
-        for exponent, coeff in layer.items():
-            quotient[exponent[:a] + (k - 1,) + exponent[a + 1 :]] = coeff
-        carry = {}
-        for exponent, coeff in layer.items():
-            lifted = exponent[:b] + (exponent[b] + 1,) + exponent[b + 1 :]
-            acc = carry.get(lifted, _ZERO) + coeff
-            if acc:
-                carry[lifted] = acc
-    remainder = dict(carry)
-    for exponent, coeff in levels.get(0, {}).items():
-        acc = remainder.get(exponent, _ZERO) + coeff
-        if acc:
-            remainder[exponent] = acc
-        else:
-            del remainder[exponent]
-    if remainder:
-        raise ArithmeticError(f"inexact division by x{i} - x{j}")
-    return Polynomial._raw(poly.arity, quotient)
-
-
 # -- the normalization operator ----------------------------------------
 
 
@@ -432,6 +361,10 @@ _SIGN_RE = re.compile(r"([+-])" + _GAP)
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?" + _GAP)
 _VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?" + _GAP)
 
+# Exponent vectors are dense, so the header's arity is capped; no family
+# goes past 9 variables.
+MAX_PARSE_ARITY = 1000
+
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the text format (header line ``vars: n`` followed by one polynomial)."""
@@ -454,6 +387,10 @@ def parse_polynomial(text: str) -> Polynomial:
         raise PolynomialSyntaxError("missing header 'vars: n'", len(lines), 1)
     if arity < 1:
         raise PolynomialSyntaxError("arity must be positive", body_start, 1)
+    if arity > MAX_PARSE_ARITY:
+        raise PolynomialSyntaxError(
+            f"arity {arity} exceeds the limit of {MAX_PARSE_ARITY}", body_start, 1
+        )
     body = "\n".join(lines[body_start:])
 
     def fail(message, pos):

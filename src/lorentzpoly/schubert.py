@@ -10,6 +10,13 @@ top; key polynomials d_i (x_i * .) to a composition, from x^mu at a
 partition.  The recursion is deterministic and path-independent, which
 the tests verify directly.
 
+Each d_i is computed term by term from its value on a monomial
+(Macdonald, Notes on Schubert polynomials, ch. II): with a and b the
+powers of x_i and x_{i+1}, d_i x_i^a x_{i+1}^b is the sum of
+x_i^k x_{i+1}^(a+b-1-k) over b <= k < a when a > b, minus the same sum
+with a and b exchanged when a < b, and 0 when a = b; the other variables
+factor out.
+
 Degree polynomials sum, over saturated chains of the Bruhat order, the
 product of the linear forms x_i + ... + x_{j-1} attached to each cover by
 the transposed positions i < j; each call memoizes the sum per
@@ -18,12 +25,7 @@ permutation of the interval.
 
 import itertools
 
-from .polynomials import (
-    Polynomial,
-    divide_by_variable_difference,
-    normalize,
-    swap_variables,
-)
+from .polynomials import Polynomial, normalize
 
 
 class Permutation:
@@ -233,12 +235,27 @@ def _lower_covers(w: Permutation):
 
 
 def divided_difference(poly: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), exactly."""
+    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), term by term.
+
+    A term c x^e with a = e_i and b = e_{i+1} gives +-c times the sum of
+    x_i^k x_{i+1}^(a+b-1-k) over min(a, b) <= k < max(a, b), the rest of
+    the monomial unchanged: + when a > b, - when a < b, nothing when a = b.
+    """
     if not 1 <= i < poly.arity:
         raise ValueError(f"index {i} out of range 1..{poly.arity - 1}")
-    numerator = poly - swap_variables(poly, i, i + 1)
-    # the numerator is antisymmetric in x_i, x_{i+1}, so division is exact
-    return divide_by_variable_difference(numerator, i, i + 1)
+    out = {}
+    for exponent, coeff in poly.terms.items():
+        a, b = exponent[i - 1], exponent[i]
+        if a == b:
+            continue
+        if a < b:
+            a, b, coeff = b, a, -coeff
+        head, tail = exponent[: i - 1], exponent[i + 1 :]
+        for k in range(b, a):
+            key = head + (k, a + b - 1 - k) + tail
+            previous = out.get(key)
+            out[key] = coeff if previous is None else previous + coeff
+    return Polynomial._raw(poly.arity, {e: c for e, c in out.items() if c})
 
 
 def demazure_pi(poly: Polynomial, i: int) -> Polynomial:
@@ -304,16 +321,13 @@ def homogeneous_grothendieck(w: Permutation, cache: dict | None = None) -> Polyn
     the Grothendieck polynomial and l the length of w, so every term of the
     alternating sum reaches total degree d.
     """
-    n = w.n
     g = grothendieck(w, cache)
     ell = w.length()
-    d = g.total_degree() if g else ell
-    total = Polynomial.zero(n + 1)
-    for k in range(0, d - ell + 1):
-        piece = g.homogeneous_component(ell + k).with_arity(n + 1)
-        z_power = Polynomial.monomial(n + 1, (0,) * n + (d - ell - k,))
-        total = total + piece * z_power * ((-1) ** k)
-    return total
+    d = g.total_degree()
+    terms = {
+        e + (d - sum(e),): -c if (sum(e) - ell) % 2 else c for e, c in g.terms.items()
+    }
+    return Polynomial._raw(w.n + 1, terms)
 
 
 def key_polynomial(mu) -> Polynomial:

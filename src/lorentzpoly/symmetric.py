@@ -60,13 +60,6 @@ class Partition:
     def contains(self, other: "Partition") -> bool:
         return all(other.part(i) <= self.part(i) for i in range(1, len(other) + 1))
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for p in self.parts if p >= c) for c in range(1, self.parts[0] + 1))
-        )
-
 
 class SkewShape:
     """A pair of nested partitions outer/inner."""

@@ -37,6 +37,21 @@ CASES = [
         ("schubert-321.poly", 0),
         ("schur-2.poly", 1),
     )
+] + [
+    (f"gen-{name}.txt", ["-m", "lorentzpoly.cli", "gen", *flags], 0)
+    for name, flags in (
+        ("schubert-154623", ["--family", "schubert", "--w", "154623"]),
+        ("grothendieck-2413", ["--family", "grothendieck", "--w", "2413"]),
+        (
+            "grothendieck-1432-component-1-normalized-scaled",
+            ["--family", "grothendieck", "--w", "1432", "--component", "1",
+             "--normalize", "--scale=-2/3"],
+        ),
+        ("grothendieck_homog-25143", ["--family", "grothendieck_homog", "--w", "25143"]),
+        ("schubert_dual-2413", ["--family", "schubert_dual", "--w", "2413"]),
+        ("key-0-2-1-3", ["--family", "key", "--mu", "0,2,1,3"]),
+        ("degree-3412", ["--family", "degree", "--w", "3412"]),
+    )
 ]
 
 

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 import pytest
 
 from lorentzpoly.polynomials import (
+    MAX_PARSE_ARITY,
     Polynomial,
     PolynomialSyntaxError,
-    divide_by_variable_difference,
     format_polynomial,
     format_terms,
     normalize,
     parse_polynomial,
-    swap_variables,
 )
 
 
@@ -226,20 +225,6 @@ class TestCalculus:
         assert p.evaluate((Fraction(1, 2), 3)) == Fraction(7, 4)
 
 
-class TestDivision:
-    def test_exact_binomial_division(self):
-        p = poly("vars: 2\nx1^2 x2 - x1 x2^2")
-        assert divide_by_variable_difference(p, 1, 2) == poly("vars: 2\nx1 x2")
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(ArithmeticError):
-            divide_by_variable_difference(poly("vars: 2\nx1^2"), 1, 2)
-
-    def test_swap_variables(self):
-        p = poly("vars: 3\nx1^2 x3")
-        assert swap_variables(p, 1, 3) == poly("vars: 3\nx1 x3^2")
-
-
 class TestTextFormat:
     def test_basic_term(self):
         p = poly("vars: 2\n1/12 x1 x2^2")
@@ -322,6 +307,8 @@ SYNTAX_ERRORS = [
     ("# nothing here\n\n", "missing header 'vars: n'", 3, 1),
     ("\n  vars 2\nx1", "expected header 'vars: n'", 2, 3),
     ("# c\nvars: 0\nx1", "arity must be positive", 2, 1),
+    ("vars: 1000000000000\nx1", "arity 1000000000000 exceeds the limit of 1000", 1, 1),
+    ("# c\nvars: 1001\nx1", "arity 1001 exceeds the limit of 1000", 2, 1),
 ]
 
 
@@ -332,6 +319,12 @@ def test_syntax_error_message_and_position(text, message, line, column):
     assert (str(err.value), err.value.line, err.value.column) == (
         f"{message} (line {line}, column {column})", line, column
     )
+
+
+def test_largest_parsed_arity():
+    p = parse_polynomial(f"vars: {MAX_PARSE_ARITY}\nx1 + x{MAX_PARSE_ARITY}")
+    assert p.arity == MAX_PARSE_ARITY == 1000
+    assert len(p.terms) == 2
 
 
 # Digits are ASCII 0-9 only: a digit of another script (here Arabic-Indic)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from lorentzpoly.polynomials import Polynomial, parse_polynomial
 from lorentzpoly.schubert import (
     BruhatCover,
+    _lower_covers,
     Permutation,
     all_permutations,
     avoids_pattern,
@@ -72,6 +75,35 @@ class TestDividedDifference:
 
     def test_symmetric_input_gives_zero(self):
         assert divided_difference(poly("vars: 2\nx1 x2"), 1) == Polynomial.zero(2)
+
+
+@st.composite
+def small_polynomials(draw):
+    """Arity 2-5, exponents 0-6, integer and rational coefficients of both signs."""
+    arity = draw(st.integers(2, 5))
+    exponents = st.tuples(*[st.integers(0, 6)] * arity)
+    coeffs = st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    )
+    return Polynomial(arity, draw(st.dictionaries(exponents, coeffs, max_size=8)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(small_polynomials())
+def test_divided_difference_matches_its_definition(p):
+    # (x_i - x_{i+1}) d_i p = p - s_i p, with s_i p by simultaneous renaming,
+    # and d_i d_i = 0
+    n = p.arity
+    for i in range(1, n):
+        image = divided_difference(p, i)
+        swapped = p.specialize({i: f"x{i + 1}", i + 1: f"x{i}"})
+        difference = Polynomial.variable(n, i) - Polynomial.variable(n, i + 1)
+        assert difference * image == p - swapped
+        assert divided_difference(image, i) == Polynomial.zero(n)
+    for i in (0, n):
+        with pytest.raises(ValueError):
+            divided_difference(p, i)
 
 
 class TestDemazurePi:
@@ -292,18 +324,25 @@ class TestDegreePolynomials:
             assert dfs_chains(w) == dp_chains(w)
 
     def test_matches_unmemoized_chain_sum(self):
-        from lorentzpoly.schubert import _lower_covers
-
-        def chains(u):  # in S4, so a polynomial in 3 variables
-            if u.is_identity():
-                return Polynomial.constant(3, 1)
-            total = Polynomial.zero(3)
-            for cover in _lower_covers(u):
-                total = total + cover.chevalley_multiplicity(3) * chains(cover.lower)
-            return total
-
         for w in all_permutations(4):
-            assert degree_polynomial(w) == chains(w), w
+            assert degree_polynomial(w) == unmemoized_chain_sum(w, 3), w
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([w for w in all_permutations(5) if w.length() <= 6]))
+    def test_matches_unmemoized_chain_sum_in_s5(self, w):
+        assert degree_polynomial(w) == unmemoized_chain_sum(w, 4)
+
+
+def unmemoized_chain_sum(u, arity):
+    """The chain sum of ``degree_polynomial``, recomputed below every cover."""
+    if u.is_identity():
+        return Polynomial.constant(arity, 1)
+    total = Polynomial.zero(arity)
+    for cover in _lower_covers(u):
+        total = total + cover.chevalley_multiplicity(arity) * unmemoized_chain_sum(
+            cover.lower, arity
+        )
+    return total
 
 
 class TestBruhatCovers:

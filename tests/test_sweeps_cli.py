@@ -169,6 +169,15 @@ class TestCli:
         assert result.returncode == 2
         assert "line 2" in result.stderr
 
+    def test_certify_huge_arity_exits_2(self):
+        # a dense exponent vector of 10^12 entries cannot be allocated, so
+        # the header is refused as a syntax error
+        result = lorentz("certify", "-", stdin="vars: 1000000000000\nx1\n")
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: arity 1000000000000 exceeds the limit of 1000 (line 1, column 1)\n"
+        )
+
     def test_certify_json_schema(self):
         raw = lorentz("gen", "--family", "schubert", "--w", "1423")
         result = lorentz("certify", "-", "--out", "json", stdin=raw.stdout)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lorentzpoly.certify import is_m_convex
-from lorentzpoly.oracles import schur_bialternant
+from lorentzpoly.oracles import alternant
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.symmetric import (
     Partition,
@@ -131,10 +131,14 @@ class TestSchur:
         assert schur((1, 1, 1), 2) == Polynomial.zero(2)
 
     def test_bialternant_agreement(self):
-        # tableau enumeration equals the alternant ratio across the full range
+        # tableau enumeration satisfies s_lam a_delta = a_{lam + delta} across
+        # the full range; a_delta is nonzero, so this pins s_lam down
         for m in range(1, 5):
+            delta = [m - j for j in range(1, m + 1)]
+            a_delta = alternant(delta, m)
             for lam in partitions_within(8, m):
-                assert schur(lam, m) == schur_bialternant(lam, m)
+                shifted = [lam.part(j) + d for j, d in enumerate(delta, start=1)]
+                assert schur(lam, m) * a_delta == alternant(shifted, m)
 
     def test_root_direction_log_concavity_small(self):
         # K^2 >= K(i,j) K(j,i) spot checks on a moderate table
