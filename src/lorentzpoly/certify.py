@@ -53,6 +53,29 @@ positive factor that leaves the inertia unchanged.  A multiset under no
 term has the zero derivative, which passes.  Witness re-verification goes
 the other way, through the public derivative chain, so each verdict is
 covered by two independent routes.
+
+Only one multiset per symmetry orbit is checked.  An adjacent pair k is
+tied when every scaled term c x^e has the same coefficient at e with e_k
+and e_{k+1} swapped; Schur, skew and P-polynomials tie every pair, and a
+Schubert polynomial ties k exactly when w(k) < w(k+1) (Macdonald, Notes on
+Schubert polynomials, 1991).  If h is fixed by that swap, the derivative by
+alpha and the one by alpha with alpha_k and alpha_{k+1} swapped have the
+same Hessian up to a permutation of rows and columns, hence the same
+inertia.  The tied pairs cut the coordinates into blocks, and the
+canonical alpha of an orbit is the one that is non-increasing inside each
+block: alpha_k >= alpha_{k+1} for every tied k.  Its sorted index tuple is
+the lexicographically smallest of the orbit, so the first failing multiset
+overall is canonical and the witness is the one an unreduced check would
+report.  A multiset met for the first time is tested once; a non-canonical
+one is given a shared scratch matrix that absorbs its entries and is never
+checked, so with no tied pair the assembly runs as without the reduction.
+A term with e_k + 2 < e_{k+1} for a tied k yields no canonical alpha and
+is skipped whole.  For multiplicity vectors of one size, the lexicographic
+order of their sorted index tuples is the reverse lexicographic order of
+the vectors (at the first coordinate where two differ, the larger count
+gives the smaller tuple), so the matrices are checked in the order of
+``sorted(hessians, reverse=True)`` and the index tuple is built only for
+the witness.
 """
 
 import itertools
@@ -492,6 +515,26 @@ def _failure_certificate(poly, degree, checks, failure):
     return LorentzCertificate(NOT_LORENTZIAN, poly.arity, degree, tuple(checks), failure)
 
 
+def _scaled_coefficients(poly: Polynomial) -> dict:
+    """The terms of ``poly`` times the least positive integer clearing their
+    denominators, as exponent -> int."""
+    scale = _denominator_lcm(poly.terms.values())
+    return {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
+
+
+def _tied_pairs(coeffs, n) -> list:
+    """The 0-based k < n - 1 for which swapping coordinates k and k + 1 maps
+    every term of ``coeffs`` to a term with the same coefficient."""
+    return [
+        k
+        for k in range(n - 1)
+        if all(
+            e[k] == e[k + 1] or coeffs.get(e[:k] + (e[k + 1], e[k]) + e[k + 2 :]) == c
+            for e, c in coeffs.items()
+        )
+    ]
+
+
 def _multiset_indices(alpha) -> tuple:
     """1-based derivative indices of a multiplicity vector, sorted."""
     out = []
@@ -532,10 +575,13 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
 
     if degree is not None and degree >= 2:
         n = poly.arity
-        scale = _denominator_lcm(poly.terms.values())
+        coeffs = _scaled_coefficients(poly)
+        tied = _tied_pairs(coeffs, n)
         hessians = {}
-        for exponent, coeff in poly.terms.items():
-            c = coeff.numerator * (scale // coeff.denominator)
+        scratch = [[0] * n for _ in range(n)]  # the matrix of every non-canonical alpha
+        for exponent, c in coeffs.items():
+            if tied and any(exponent[k] + 2 < exponent[k + 1] for k in tied):
+                continue  # every alpha of this term has alpha_k < alpha_{k+1}
             hot = [i for i in range(n) if exponent[i]]
             for a, i in enumerate(hot):
                 for j in hot[a:]:
@@ -548,11 +594,18 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
                     alpha = tuple(alpha)
                     matrix = hessians.get(alpha)
                     if matrix is None:
-                        matrix = hessians[alpha] = [[0] * n for _ in range(n)]
+                        if tied and any(alpha[k] < alpha[k + 1] for k in tied):
+                            matrix = scratch
+                        else:
+                            matrix = [[0] * n for _ in range(n)]
+                        hessians[alpha] = matrix
                     matrix[i][j] = value
                     matrix[j][i] = value
-        for alpha in sorted(hessians, key=_multiset_indices):
-            signature = _inertia_int(hessians[alpha])
+        for alpha in sorted(hessians, reverse=True):  # sorted index tuples, ascending
+            matrix = hessians[alpha]
+            if matrix is scratch:
+                continue
+            signature = _inertia_int(matrix)
             if signature.positive > 1:
                 return _failure_certificate(
                     poly,
@@ -668,8 +721,7 @@ def root_direction_violations(poly: Polynomial):
     scale keeps every inequality), and each line is read as a map from the
     i-th exponent to its coefficient.
     """
-    scale = _denominator_lcm(poly.terms.values())
-    coeffs = {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
+    coeffs = _scaled_coefficients(poly)
     violations = []
     n = poly.arity
     for i in range(n - 1):

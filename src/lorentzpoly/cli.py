@@ -91,7 +91,12 @@ def _generate(args) -> Polynomial:
 
 
 def _cmd_gen(args) -> int:
-    poly = _generate(args)
+    try:
+        poly = _generate(args)
+    except MemoryError:
+        # gen puts no cap on its bounds; a polynomial too large to build is
+        # still a bad request, not a refutation
+        raise UsageError("not enough memory to build this polynomial") from None
     sys.stdout.write(format_polynomial(poly))
     return 0
 

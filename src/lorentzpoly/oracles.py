@@ -13,8 +13,9 @@ minor-expansion one, refined until every root is separated from zero
 scan by three exact coefficient lookups per point (versus integer
 lines), the first exchange-axiom violation by building and looking up the
 moved points of every pair (versus bit masks of the moves within the
-set), the first Hessian failure by differentiating once per derivative
-multiset (versus one pass over the terms), and the advisory
+set), the first Hessian failure by differentiating along each derivative
+multiset, with no symmetry reduction (versus one pass over the terms,
+one multiset per symmetry orbit), and the advisory
 log-concavity spot check, the exact inertia of the Hessian of log h at
 sample points (versus the Hessian certificate).
 """
@@ -174,21 +175,34 @@ def exchange_scan_by_pairs(pts, index):
 # -- Hessians of the order-(d - 2) derivatives ---------------------------
 
 
+def _first_failure_below(derivative: Polynomial, prefix: tuple, remaining: int):
+    """(multiset, inertia) of the first failing extension of ``prefix`` by
+    ``remaining`` indices no smaller than its last, or None; ``derivative``
+    is the input differentiated by ``prefix``."""
+    if not remaining:
+        signature = inertia(quadratic_form_matrix(derivative))
+        return (prefix, signature) if signature.positive > 1 else None
+    for index in range(prefix[-1] if prefix else 1, derivative.arity + 1):
+        below = derivative.partial_derivative(index)
+        if not below:
+            continue  # every further derivative is zero, and zero passes
+        found = _first_failure_below(below, prefix + (index,), remaining - 1)
+        if found is not None:
+            return found
+    return None
+
+
 def first_hessian_failure_by_derivatives(poly: Polynomial):
     """(multiset, inertia) of the first sorted multiset of d - 2 derivative
     indices whose quadratic form has two or more positive eigenvalues, or
-    None.  Each multiset is differentiated on its own with
-    ``Polynomial.derivative``; ``poly`` must be homogeneous of degree d."""
+    None.  The multisets are walked depth-first in lexicographic order, each
+    derivative taken from its prefix's with ``Polynomial.partial_derivative``
+    and a zero derivative cut off with everything below it; ``poly`` must
+    be homogeneous of degree d."""
     degree = poly.homogeneous_degree()
     if degree is None or degree < 2:
         return None
-    n = poly.arity
-    for multiset in itertools.combinations_with_replacement(range(1, n + 1), degree - 2):
-        mu = [multiset.count(i) for i in range(1, n + 1)]
-        signature = inertia(quadratic_form_matrix(poly.derivative(mu)))
-        if signature.positive > 1:
-            return multiset, signature
-    return None
+    return _first_failure_below(poly, (), degree - 2)
 
 
 # -- root-direction log-concavity -----------------------------------------

@@ -22,6 +22,7 @@ naming of the text format.
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 Exponent = tuple[int, ...]
@@ -366,6 +367,18 @@ _VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?" + _GAP)
 MAX_PARSE_ARITY = 1000
 
 
+def _long_number(match):
+    """(message, offset) for the first group of ``match`` with more digits
+    than int() converts, ``sys.get_int_max_str_digits()``."""
+    limit = sys.get_int_max_str_digits()
+    offset = next(
+        match.start(group)
+        for group in range(1, match.re.groups + 1)
+        if len(match.group(group) or "") > limit
+    )
+    return f"number with more than {limit} digits", offset
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the text format (header line ``vars: n`` followed by one polynomial)."""
     lines = text.split("\n")
@@ -376,11 +389,14 @@ def parse_polynomial(text: str) -> Polynomial:
         if not stripped:
             continue
         match = re.fullmatch(r"vars:\s*([0-9]+)", stripped)
+        column = raw.index(stripped[0]) + 1
         if not match:
-            raise PolynomialSyntaxError(
-                "expected header 'vars: n'", lineno + 1, raw.index(stripped[0]) + 1
-            )
-        arity = int(match.group(1))
+            raise PolynomialSyntaxError("expected header 'vars: n'", lineno + 1, column)
+        try:
+            arity = int(match.group(1))
+        except ValueError:
+            message, offset = _long_number(match)
+            raise PolynomialSyntaxError(message, lineno + 1, column + offset) from None
         body_start = lineno + 1
         break
     if arity is None:
@@ -418,8 +434,11 @@ def parse_polynomial(text: str) -> Polynomial:
         term_at = pos
         match = _RATIONAL_RE.match(body, pos)
         if match:
-            num = int(match.group(1))
-            den = int(match.group(2) or 1)
+            try:
+                num = int(match.group(1))
+                den = int(match.group(2) or 1)
+            except ValueError:
+                fail(*_long_number(match))
             if den == 0:
                 fail("zero denominator", pos)
             coeff = Fraction(-num if negative else num, den)
@@ -427,10 +446,14 @@ def parse_polynomial(text: str) -> Polynomial:
         else:
             coeff = _MINUS_ONE if negative else _ONE
         while match := _VAR_RE.match(body, pos):
-            vindex = int(match.group(1))
+            try:
+                vindex = int(match.group(1))
+                power = int(match.group(2) or 1)
+            except ValueError:
+                fail(*_long_number(match))
             if not 1 <= vindex <= arity:
                 fail(f"variable x{vindex} out of range for vars: {arity}", pos)
-            exponent[vindex - 1] += int(match.group(2) or 1)
+            exponent[vindex - 1] += power
             pos = match.end()
         if pos == term_at:  # a sign that ends the body is reported at the sign
             fail("expected a term", term_at if term_at < end else sign_at)

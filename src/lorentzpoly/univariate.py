@@ -2,9 +2,7 @@
 
 Polynomials are plain lists of Fractions in ascending power order
 ([a0, a1, ..., ad] for a0 + a1 t + ... + ad t^d).  Provides Sturm chains
-for exact real-root counting and Descartes sign-variation counting, which
-is exact for polynomials whose roots are all real (characteristic
-polynomials of symmetric matrices).
+for exact real-root counting and Yun's square-free decomposition.
 
 Within the package only ``oracles`` imports this module: it is the
 second route that the tests compare the production code against.
@@ -172,12 +170,3 @@ def strip_zero_root(coeffs: Coeffs):
         coeffs = coeffs[1:]
         z += 1
     return coeffs, z
-
-
-def descartes_positive_roots(coeffs: Coeffs) -> int:
-    """Positive roots counted with multiplicity, assuming all roots real.
-
-    For real-rooted polynomials Descartes' bound is attained, so the sign
-    variation count of the coefficient sequence is exact.
-    """
-    return sign_variations(coeffs)

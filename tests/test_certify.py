@@ -15,6 +15,7 @@ from lorentzpoly.certify import (
     InertiaSignature,
     NegativeCoefficient,
     SymmetricMatrix,
+    _multiset_indices,
     bivariate_ulc,
     characteristic_polynomial,
     discrete_root_log_concavity,
@@ -485,6 +486,75 @@ def test_hessian_pass_matches_derivative_oracle(h):
         assert certificate.is_lorentzian
     else:
         assert certificate.failure == HessianFailure(*expected)
+
+
+@st.composite
+def block_symmetric_forms(draw):
+    """Forms in 2-5 variables of degree 2-5 fixed by every permutation of
+    the coordinates inside random blocks of consecutive ones: the sum over
+    those permutations of a product of nonnegative linear forms.  Every
+    other one has the coefficients of one whole orbit multiplied up, which
+    keeps the symmetry and can fail a Hessian."""
+    n = draw(st.integers(2, 5))
+    degree = draw(st.integers(2, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    ends = [0, *cuts, n]
+    blocks = [range(a, b) for a, b in zip(ends, ends[1:])]
+    perms = [
+        tuple(itertools.chain(*parts))
+        for parts in itertools.product(*map(itertools.permutations, blocks))
+    ]
+    h = Polynomial.constant(n, 1)
+    for _ in range(degree):
+        row = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        h = h * Polynomial(n, {
+            tuple(int(k == i) for k in range(n)): w for i, w in enumerate(row) if w
+        })
+    terms = {}
+    for perm in perms:
+        for exponent, c in h.terms.items():
+            moved = tuple(exponent[p] for p in perm)
+            terms[moved] = terms.get(moved, 0) + c
+    if draw(st.booleans()):
+        exponent = draw(st.sampled_from(sorted(terms)))
+        factor = draw(st.integers(2, 30))
+        for moved in {tuple(exponent[p] for p in perm) for perm in perms}:
+            terms[moved] *= factor
+    return Polynomial(n, terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block_symmetric_forms())
+def test_symmetry_reduction_matches_derivative_oracle(h):
+    # the certifier checks one multiset per orbit; the oracle checks them all
+    certificate = lorentzian_certify(h)
+    assert verify_certificate(h, certificate)
+    if certificate.failure is not None and certificate.failure.kind != "hessian_failure":
+        return
+    expected = first_hessian_failure_by_derivatives(h)
+    if expected is None:
+        assert certificate.is_lorentzian
+    else:
+        assert certificate.failure == HessianFailure(*expected)
+
+
+@st.composite
+def multiplicity_vectors_of_one_size(draw):
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(0, 7))
+    pool = [
+        tuple(picks.count(i) for i in range(n))
+        for picks in itertools.combinations_with_replacement(range(n), size)
+    ]
+    return draw(st.lists(st.sampled_from(pool), unique=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multiplicity_vectors_of_one_size())
+def test_reverse_order_is_sorted_index_order(alphas):
+    # the certifier walks its multisets in the first order and reports the
+    # first failure of the second
+    assert sorted(alphas, reverse=True) == sorted(alphas, key=_multiset_indices)
 
 
 def test_hot_paths_use_the_integer_kernels():

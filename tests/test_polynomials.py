@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -318,6 +319,39 @@ def test_syntax_error_message_and_position(text, message, line, column):
         parse_polynomial(text)
     assert (str(err.value), err.value.line, err.value.column) == (
         f"{message} (line {line}, column {column})", line, column
+    )
+
+
+@pytest.fixture
+def digit_limit():
+    """int()'s default limit on the digits of a string it converts."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+NINES = "9" * 4400
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (f"# c\n  vars: {NINES}\nx1", 2, 9),
+        (f"vars: 2\nx1 +\n  {NINES} x2", 3, 3),
+        (f"vars: 2\nx1 + 3/{NINES} x2", 2, 8),
+        (f"vars: 2\nx1^{NINES}", 2, 4),
+        (f"vars: 2\nx2 x{NINES}", 2, 5),
+    ],
+    ids=["header", "coefficient", "denominator", "exponent", "index"],
+)
+def test_number_past_the_digit_limit(digit_limit, text, line, column):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"number with more than {digit_limit} digits (line {line}, column {column})",
+        line,
+        column,
     )
 
 

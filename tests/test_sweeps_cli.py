@@ -205,6 +205,23 @@ class TestCli:
         assert result.stdout == ""
         assert "component index must be nonnegative" in result.stderr
 
+    def test_gen_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # the generator stands in for one that cannot allocate its tableaux
+        family = FAMILY_TABLE["schur"]
+        payloads = []
+
+        def generate(payload):
+            payloads.append(payload)
+            raise MemoryError
+
+        monkeypatch.setitem(FAMILY_TABLE, "schur", dataclasses.replace(family, generate=generate))
+        code = main(["gen", "--family", "schur", "--lambda", "1", "--vars", "1000000000000"])
+        assert code == 2
+        assert payloads == [((1,), 1000000000000)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not enough memory to build this polynomial\n"
+
     def test_sweep_cli_json(self):
         result = lorentz(
             "sweep", "--family", "schubert", "--n", "3", "--out", "json"

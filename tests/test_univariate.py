@@ -33,11 +33,6 @@ def test_strip_zero_root():
     assert z == 2 and reduced == F(3, 1)
 
 
-def test_descartes_matches_roots_for_real_rooted():
-    # (t-1)(t-2)(t+3) = t^3 - 7t + 6
-    assert uni.descartes_positive_roots(F(6, -7, 0, 1)) == 2
-
-
 def test_squarefree_decomposition():
     # (t-1)^2 (t+2)
     p = F(2, -3, 0, 1)
