@@ -3,7 +3,9 @@
 Each function here recomputes something the main modules produce, by a
 deliberately different method: the alternant a_alpha = det(x_i^{alpha_j}),
 through which the tests check the alternant identity s_lambda a_delta =
-a_{lambda + delta} (versus tableau enumeration), characteristic
+a_{lambda + delta} (versus the branching rule), skew Schur polynomials,
+Kostka numbers and Schur P-polynomials by walking every semistandard or
+marked shifted tableau (versus the branching rule), characteristic
 polynomials by minor expansion over column subsets (versus the
 Faddeev-LeVerrier recursion),
 eigenvalue sign counts by Descartes counting on the Faddeev-LeVerrier
@@ -21,6 +23,7 @@ sample points (versus the Hessian certificate).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import univariate
@@ -34,6 +37,7 @@ from .certify import (
     quadratic_form_matrix,
 )
 from .polynomials import Polynomial
+from .symmetric import Partition, SkewShape, StrictPartition
 
 
 def alternant(exponents, m: int) -> Polynomial:
@@ -151,6 +155,140 @@ def inertia_by_sturm_bracketing(matrix: SymmetricMatrix) -> InertiaSignature:
     return InertiaSignature(positive, negative, zero)
 
 
+# -- tableau walks ------------------------------------------------------------
+#
+# Semistandard cells are filled column by column; within a column the values
+# strictly increase downward, and each cell is bounded below by its left
+# neighbor (weak row increase).  For skew shapes the rows present in a column
+# are contiguous, so the same walk applies with per-column row offsets.
+
+
+def _skew_columns(outer: Partition, inner: Partition):
+    """Per column (1-based): list of row indices holding a cell."""
+    width = outer.part(1)
+    columns = []
+    for c in range(1, width + 1):
+        rows = [r for r in range(1, len(outer) + 1) if inner.part(r) < c <= outer.part(r)]
+        columns.append(rows)
+    return columns
+
+
+def _enumerate_fillings(outer: Partition, inner: Partition, m: int, budget=None):
+    """Yield weight tuples of semistandard fillings with entries in 1..m.
+
+    With ``budget`` (a tuple capping how many times each value may occur)
+    the walk prunes fillings that overdraw any value; used for Kostka
+    counting with a fixed target weight.
+    """
+    columns = _skew_columns(outer, inner)
+    weight = [0] * m
+    remaining = list(budget) if budget is not None else None
+    # entries[r] is the value currently in row r of the previous column
+    previous: dict[int, int] = {}
+
+    def fill_column(c: int, rows, row_pos: int, current: dict[int, int]):
+        if row_pos == len(rows):
+            yield from next_column(c + 1, current)
+            return
+        r = rows[row_pos]
+        low = 1
+        if r - 1 in current:
+            low = current[r - 1] + 1  # strict increase down the column
+        left = previous.get(r)  # set iff cell (r, c-1) is in the shape
+        if left is not None and left > low:
+            low = left
+        for value in range(low, m + 1):
+            if remaining is not None:
+                if remaining[value - 1] == 0:
+                    continue
+                remaining[value - 1] -= 1
+            weight[value - 1] += 1
+            current[r] = value
+            yield from fill_column(c, rows, row_pos + 1, current)
+            del current[r]
+            weight[value - 1] -= 1
+            if remaining is not None:
+                remaining[value - 1] += 1
+
+    def next_column(c: int, current: dict[int, int]):
+        nonlocal previous
+        if c > len(columns):
+            yield tuple(weight)
+            return
+        saved = previous
+        previous = current
+        yield from fill_column(c, columns[c - 1], 0, {})
+        previous = saved
+
+    # A column taller than m admits no strictly increasing filling.
+    if any(len(rows) > m for rows in columns):
+        return
+    yield from next_column(1, {})
+
+
+def skew_schur_by_tableaux(shape: SkewShape, m: int) -> Polynomial:
+    """Skew Schur polynomial as the weight sum of every semistandard filling."""
+    terms: dict[tuple, int] = {}
+    for weight in _enumerate_fillings(shape.outer, shape.inner, m):
+        terms[weight] = terms.get(weight, 0) + 1
+    return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+
+
+def kostka_by_tableaux(lam, mu) -> int:
+    """Kostka number by the walk with each value's count capped by ``mu``."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    mu = tuple(mu)
+    if any(x < 0 for x in mu) or lam.size() != sum(mu):
+        return 0
+    return sum(
+        1 for weight in _enumerate_fillings(lam, Partition(), len(mu), budget=mu)
+        if weight == mu
+    )
+
+
+# Marked shifted tableaux: entries come from the ordered alphabet
+# 1' < 1 < 2' < 2 < ..., encoded as 2k-1 for k' and 2k for k.  Rows and
+# columns weakly increase; a primed letter repeats in no row, an unprimed
+# letter repeats in no column, and the main diagonal is unprimed.  Row i of
+# the shifted diagram occupies columns i .. i + lam_i - 1.
+
+
+def schur_p_by_marked_tableaux(lam, m: int) -> Polynomial:
+    """Schur P-polynomial as the weight sum of every marked shifted tableau."""
+    if not isinstance(lam, StrictPartition):
+        lam = StrictPartition(lam)
+    rows = lam.parts
+    cells = [(r, c) for r in range(1, len(rows) + 1) for c in range(r, r + rows[r - 1])]
+    terms: dict[tuple, int] = {}
+    weight = [0] * m
+    values: dict[tuple, int] = {}
+
+    def place(pos: int):
+        if pos == len(cells):
+            key = tuple(weight)
+            terms[key] = terms.get(key, 0) + 1
+            return
+        r, c = cells[pos]
+        left = values.get((r, c - 1))
+        above = values.get((r - 1, c))
+        low = max(left or 1, above or 1)
+        for v in range(low, 2 * m + 1):
+            if c == r and v % 2 == 1:
+                continue  # diagonal cells are unprimed
+            if v == left and v % 2 == 1:
+                continue  # primed letters do not repeat along a row
+            if v == above and v % 2 == 0:
+                continue  # unprimed letters do not repeat down a column
+            values[(r, c)] = v
+            weight[(v + 1) // 2 - 1] += 1
+            place(pos + 1)
+            weight[(v + 1) // 2 - 1] -= 1
+            del values[(r, c)]
+
+    place(0)
+    return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+
+
 # -- the exchange axiom -----------------------------------------------------
 
 
@@ -244,29 +382,55 @@ def root_direction_violations_by_lookup(poly: Polynomial):
 def numeric_log_concavity_spot(poly: Polynomial, points) -> bool:
     """Test concavity of log(h) at strictly positive points, exactly.
 
-    At a point where h > 0 the Hessian of log h is (h H(h) - grad grad^T) / h^2,
-    so it has the inertia of the rational matrix h H(h) - grad grad^T; the
-    test fails at the first point where that matrix has a positive
-    eigenvalue.  Advisory only; never a certification path.
+    At a point p where h > 0 the Hessian of log h is (h H - g g^T) / h^2, with
+    g and H the gradient and Hessian of h, so it has the inertia of
+    D (h H - g g^T) D for D = diag(p).  That matrix is h T - S S^T, where
+    S_i = p_i g_i is the sum of t_a a_i and T_ij = p_i p_j H_ij the sum of
+    t_a a_i (a_j - [i = j]) over the terms x^a, t_a being the term's value
+    at p.  One pass over the terms gives h, S and T; every t_a is first
+    multiplied by one positive integer that clears all denominators, which
+    scales the matrix by a positive square.  The test fails at the first
+    point where the matrix has a positive eigenvalue.  Advisory only; never
+    a certification path.
     """
     if not poly:
         raise ValueError("polynomial must be nonzero")
     n = poly.arity
-    grads = [poly.partial_derivative(i) for i in range(1, n + 1)]
-    hess = [
-        [grads[i].partial_derivative(j + 1) for j in range(n)] for i in range(n)
-    ]
+    tops = [max(e[i] for e in poly.terms) for i in range(n)]
+    scale = 1
+    for coeff in poly.terms.values():
+        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
+    terms = [(e, int(c * scale)) for e, c in poly.terms.items()]
     for point in points:
         point = [Fraction(v) for v in point]
         if any(v <= 0 for v in point):
             raise ValueError("points must be strictly positive")
-        value = poly.evaluate(point)
+        # x_i^a at p, times d_i^top_i: n_i^a d_i^(top_i - a) for p_i = n_i / d_i
+        powers = [
+            [v.numerator ** a * v.denominator ** (top - a) for a in range(top + 1)]
+            for v, top in zip(point, tops)
+        ]
+        value = 0
+        first = [0] * n
+        second = [[0] * n for _ in range(n)]
+        for exponent, coeff in terms:
+            t = coeff
+            for i, a in enumerate(exponent):
+                t *= powers[i][a]
+            value += t
+            for i, a in enumerate(exponent):
+                if a:
+                    first[i] += t * a
+                    row = second[i]
+                    for j, b in enumerate(exponent):
+                        if j == i:
+                            b -= 1
+                        if b:
+                            row[j] += t * a * b
         if value <= 0:
             raise ValueError(f"polynomial is not positive at ({', '.join(map(str, point))})")
-        grad = [g.evaluate(point) for g in grads]
         matrix = SymmetricMatrix(
-            [[value * hess[i][j].evaluate(point) - grad[i] * grad[j] for j in range(n)]
-             for i in range(n)]
+            [[value * second[i][j] - first[i] * first[j] for j in range(n)] for i in range(n)]
         )
         if inertia(matrix).positive > 0:
             return False

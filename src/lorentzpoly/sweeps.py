@@ -242,9 +242,10 @@ def _signed_components(payload, raw):
     ]
 
 
-# Per-process memo tables for the divided-difference recursions; inserts
-# are idempotent, so concurrent workers each filling their own copy agree.
-_CACHES = {"schubert": {}, "grothendieck": {}}
+# Memo tables of the divided-difference recursions and the branching rules,
+# filled during one ``run_sweep`` and emptied when it returns.  Inserts are
+# idempotent, so concurrent workers each filling their own copy agree.
+_CACHES = {"schubert": {}, "grothendieck": {}, "schur": {}, "schur_p": {}}
 
 
 @dataclass(frozen=True)
@@ -276,17 +277,18 @@ FAMILY_TABLE = {
         _PARTITION_BOUNDS,
         lambda boxes, parts, nvars: _shape_instances(partitions_within(boxes, parts), nvars),
         ("lambda", "vars"),
-        lambda p: schur(Partition(p[0]), p[1]),
+        lambda p: schur(Partition(p[0]), p[1], _CACHES["schur"]),
     ),
     "skew": Family(
         _PARTITION_BOUNDS, _skew_instances, ("lambda", "inner", "vars"),
-        lambda p: skew_schur(SkewShape(Partition(p[0]), Partition(p[1])), p[2]),
+        lambda p: skew_schur(SkewShape(Partition(p[0]), Partition(p[1])), p[2],
+                             _CACHES["schur"]),
     ),
     "schur_p": Family(
         (("max_part", 0, CAP_BOXES), ("parts", 0, CAP_BOXES), ("vars", 1, CAP_VARS)),
         lambda top, parts, nvars: _shape_instances(strict_partitions_within(top, parts), nvars),
         ("lambda", "vars"),
-        lambda p: schur_p(StrictPartition(p[0]), p[1]),
+        lambda p: schur_p(StrictPartition(p[0]), p[1], _CACHES["schur_p"]),
     ),
     "schubert": Family(
         _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
@@ -408,7 +410,19 @@ def _worker(args):
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> SweepReport:
-    """Run a sweep; ``only`` restricts to instance ids containing the string."""
+    """Run a sweep; ``only`` restricts to instance ids containing the string.
+
+    The memo tables in ``_CACHES`` are emptied when the sweep returns, so
+    each sweep starts cold and nothing it built stays resident.
+    """
+    try:
+        return _run_sweep(spec, jobs, only)
+    finally:
+        for table in _CACHES.values():
+            table.clear()
+
+
+def _run_sweep(spec: SweepSpec, jobs: int, only: Optional[str]) -> SweepReport:
     start = time.monotonic()
     instances = [
         (instance_id, payload)

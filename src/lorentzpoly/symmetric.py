@@ -1,12 +1,18 @@
 """Generators for Schur-family symmetric polynomials and weight multiplicities.
 
-Skew Schur polynomials are produced by direct enumeration of semistandard
-Young tableaux (column by column, backtracking), and a Schur polynomial is
-the skew Schur polynomial of lam/(); Schur P-polynomials come from
-enumeration of marked shifted tableaux; Kostka numbers from the same
-tableau walk with a fixed target weight.  The determinant-ratio
-construction of Schur polynomials lives in ``oracles`` as an independent
-cross-check and is never used as the primary path.
+Skew Schur polynomials (and through them Schur polynomials, the skew shape
+lam/()) and Schur P-polynomials come from their branching rules: the
+polynomial in x_1..x_m is a sum, over the shapes left when a horizontal
+strip is removed, of the polynomial in x_1..x_{m-1} times a power of x_m
+(Macdonald, *Symmetric Functions and Hall Polynomials*, I (5.11) and III
+sections 5 and 8).  The levels are built from one variable up, with int
+coefficients, and each coefficient becomes a ``Fraction`` once, at the end;
+the cost is the number of monomials met on the way, not the number of
+tableaux.  A caller that builds many shapes passes a ``cache`` dict, which
+keeps every level below the one asked for (a sweep keeps one per family
+and empties it when the sweep ends).  Kostka numbers are the Schur rule
+read at one weight.  The tableau walks these replace live in ``oracles``
+as test-only cross-checks.
 
 Also here: the type A Kostant partition function (bounded-knapsack count
 of negative-root multisets) and the normalized truncated character of a
@@ -118,106 +124,128 @@ def _as_partition(value) -> Partition:
     return value if isinstance(value, Partition) else Partition(value)
 
 
-# -- semistandard tableau enumeration -----------------------------------
+# -- the branching rule ------------------------------------------------------
 #
-# Cells are filled column by column; within a column the values strictly
-# increase downward, and each cell is bounded below by its left neighbor
-# (weak row increase).  For skew shapes the rows present in a column are
-# contiguous, so the same walk applies with per-column row offsets.
+# The entry of a shape at level k is its polynomial in x_1..x_k, as a dict
+# from exponents with their trailing zeros dropped to int coefficients.
+# Without the trailing zeros an entry reads the same at every arity, and a
+# term that takes x_k^0 passes from level k - 1 to level k unchanged.
+# ``below(shape, k)`` lists the (shape, weight, strip size) triples at level
+# k - 1 that the rule sums for ``shape`` at level k, leaving out shapes whose
+# entry there is zero; every shape it lists at level 0 has the entry 1.
 
 
-def _skew_columns(outer: Partition, inner: Partition):
-    """Per column (1-based): list of row indices holding a cell."""
-    width = outer.part(1)
-    columns = []
-    for c in range(1, width + 1):
-        rows = [r for r in range(1, len(outer) + 1) if inner.part(r) < c <= outer.part(r)]
-        columns.append(rows)
-    return columns
+def _branch(top, m: int, below, memo, key) -> Polynomial:
+    """The polynomial of ``top`` in x_1..x_m, by the rule ``below``.
 
-
-def _enumerate_fillings(outer: Partition, inner: Partition, m: int, budget=None):
-    """Yield weight tuples of semistandard fillings with entries in 1..m.
-
-    With ``budget`` (a tuple capping how many times each value may occur)
-    the walk prunes fillings that overdraw any value; used for Kostka
-    counting with a fixed target weight.
+    A walk down from level m finds the entries each level needs; the levels
+    are then built from the bottom up, each from the one below it.  With a
+    ``memo`` dict, an entry stored at ``key(shape, k)`` is read instead of
+    built, and every entry built below level m is stored; the level-m entry
+    is handed back as a polynomial and not kept.
     """
-    columns = _skew_columns(outer, inner)
-    weight = [0] * m
-    remaining = list(budget) if budget is not None else None
-    # entries[r] is the value currently in row r of the previous column
-    previous: dict[int, int] = {}
-
-    def fill_column(c: int, rows, row_pos: int, current: dict[int, int]):
-        if row_pos == len(rows):
-            yield from next_column(c + 1, current)
-            return
-        r = rows[row_pos]
-        low = 1
-        if r - 1 in current:
-            low = current[r - 1] + 1  # strict increase down the column
-        left = previous.get(r)  # set iff cell (r, c-1) is in the shape
-        if left is not None and left > low:
-            low = left
-        for value in range(low, m + 1):
-            if remaining is not None:
-                if remaining[value - 1] == 0:
+    zeros = (0,) * m  # pads every exponent to m; fails at once for an absurd m
+    plan = []  # (k, {shape: its below(shape, k), or None for a memo hit})
+    need = {top}
+    for k in range(m, 0, -1):
+        step = {}
+        for shape in need:
+            hit = memo is not None and key(shape, k) in memo
+            step[shape] = None if hit else below(shape, k)
+        plan.append((k, step))
+        need = {lower for edges in step.values() if edges for lower, _, _ in edges}
+        if not need:
+            break
+    table = dict.fromkeys(need, {(): 1})
+    for k, step in reversed(plan):
+        level = {}
+        for shape, edges in step.items():
+            if edges is None:
+                level[shape] = memo[key(shape, k)]
+                continue
+            terms = {}
+            for lower, weight, size in edges:
+                if not size:
+                    # lower is shape itself, with weight 1; its exponents are
+                    # shorter than k, so they meet no other edge's, and a dict
+                    # copy does not hash them again
+                    terms.update(table[lower])
                     continue
-                remaining[value - 1] -= 1
-            weight[value - 1] += 1
-            current[r] = value
-            yield from fill_column(c, rows, row_pos + 1, current)
-            del current[r]
-            weight[value - 1] -= 1
-            if remaining is not None:
-                remaining[value - 1] += 1
-
-    def next_column(c: int, current: dict[int, int]):
-        nonlocal previous
-        if c > len(columns):
-            yield tuple(weight)
-            return
-        saved = previous
-        previous = current
-        yield from fill_column(c, columns[c - 1], 0, {})
-        previous = saved
-
-    # A column taller than m admits no strictly increasing filling.
-    if any(len(rows) > m for rows in columns):
-        return
-    yield from next_column(1, {})
+                tail = (size,)
+                for exponent, coeff in table[lower].items():
+                    exponent = exponent + zeros[len(exponent):k - 1] + tail
+                    terms[exponent] = terms.get(exponent, 0) + weight * coeff
+            level[shape] = terms
+            if memo is not None and k < m:
+                memo[key(shape, k)] = terms
+        table = level
+    return Polynomial._raw(
+        m, {e + zeros[len(e):]: Fraction(c) for e, c in table.get(top, {}).items()}
+    )
 
 
-def schur(lam, m: int) -> Polynomial:
+def _horizontal_strips(mu: tuple, nu: tuple, rows: int):
+    """(kappa, 1, |mu/kappa|) for every partition kappa with nu inside kappa,
+    mu/kappa a horizontal strip (mu_{i+1} <= kappa_i <= mu_i) and no column
+    of kappa/nu longer than ``rows`` (kappa_{i+rows} <= nu_i)."""
+    ranges = []
+    for i, top in enumerate(mu):
+        low = max(mu[i + 1] if i + 1 < len(mu) else 0, nu[i] if i < len(nu) else 0)
+        if i >= rows:
+            j = i - rows
+            top = min(top, nu[j] if j < len(nu) else 0)
+        if low > top:
+            return []
+        ranges.append(range(top, low - 1, -1))
+    size = sum(mu)
+    return [
+        (tuple(p for p in kappa if p), 1, size - sum(kappa))
+        for kappa in itertools.product(*ranges)
+    ]
+
+
+def schur(lam, m: int, cache: dict | None = None) -> Polynomial:
     """Schur polynomial of ``lam`` in m variables: the skew shape lam/()."""
-    return skew_schur(SkewShape(lam, Partition()), m)
+    return skew_schur(SkewShape(lam, Partition()), m, cache)
 
 
-def skew_schur(shape: SkewShape, m: int) -> Polynomial:
-    """Skew Schur polynomial of shape outer/inner in m variables."""
+def skew_schur(shape: SkewShape, m: int, cache: dict | None = None) -> Polynomial:
+    """Skew Schur polynomial of shape outer/inner in m variables.
+
+    s_{lam/nu}(x_1..x_m) is the sum, over mu with nu inside mu and lam/mu a
+    horizontal strip, of s_{mu/nu}(x_1..x_{m-1}) x_m^{|lam/mu|} (Macdonald,
+    I (5.11)).  ``cache`` keeps the entries below level m, keyed
+    ``(mu, nu, k)``; ``schur`` shares them.
+    """
     if m < 1:
         raise ValueError("need at least one variable")
-    terms: dict[tuple, int] = {}
-    for weight in _enumerate_fillings(shape.outer, shape.inner, m):
-        terms[weight] = terms.get(weight, 0) + 1
-    return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+    nu = shape.inner.parts
+    return _branch(shape.outer.parts, m, lambda mu, k: _horizontal_strips(mu, nu, k - 1),
+                   cache, lambda mu, k: (mu, nu, k))
 
 
 def kostka(lam, mu) -> int:
-    """Number of semistandard tableaux of shape ``lam`` and weight ``mu``."""
+    """Number of semistandard tableaux of shape ``lam`` and weight ``mu``.
+
+    The Schur branching rule read at one weight: remove a horizontal strip
+    of size mu_k from each shape, for k = len(mu) down to 1, and count the
+    ways of reaching the empty shape.
+    """
     lam = _as_partition(lam)
     mu = tuple(int(x) for x in mu)
     if any(x < 0 for x in mu):
         return 0
     if lam.size() != sum(mu):
         return 0
-    m = len(mu)
-    count = 0
-    for weight in _enumerate_fillings(lam, Partition(), m, budget=mu):
-        if weight == mu:
-            count += 1
-    return count
+    counts = {lam.parts: 1}
+    for k in range(len(mu), 0, -1):
+        below = {}
+        for shape, count in counts.items():
+            for kappa, _, size in _horizontal_strips(shape, (), k - 1):
+                if size == mu[k - 1]:
+                    below[kappa] = below.get(kappa, 0) + count
+        counts = below
+    return counts.get((), 0)
 
 
 def complete_homogeneous(k: int, m: int) -> Polynomial:
@@ -245,51 +273,49 @@ def complement_partition(lam, m: int, ell: int) -> Partition:
     return Partition(tuple(ell - lam.part(m + 1 - i) for i in range(1, m + 1)))
 
 
-# -- marked shifted tableaux ---------------------------------------------
-#
-# Entries come from the ordered alphabet 1' < 1 < 2' < 2 < ..., encoded as
-# 2k-1 for k' and 2k for k.  Rows and columns weakly increase; a primed
-# letter repeats in no row, an unprimed letter repeats in no column, and
-# the main diagonal is unprimed.  Row i of the shifted diagram occupies
-# columns i .. i + lam_i - 1.
+def _shifted_strips(lam: tuple, rows: int):
+    """(mu, weight, |lam/mu|) for every strict partition mu of at most
+    ``rows`` parts with lam_1 >= mu_1 >= lam_2 >= mu_2 >= ..., where the
+    weight is 2^(c - l(lam) + l(mu)) and c counts the edge-connected pieces
+    of the shifted strip lam/mu: rows i and i + 1 of the strip join exactly
+    when both are nonempty and mu_i = lam_{i+1}."""
+    n = len(lam)
+    ranges = []
+    for i in range(n):
+        low = lam[i + 1] if i + 1 < n else 0
+        top = lam[i] if i < rows else 0
+        if low > top:
+            return []
+        ranges.append(range(top, low - 1, -1))
+    size = sum(lam)
+    out = []
+    for mu in itertools.product(*ranges):
+        if any(a == b for a, b in zip(mu, mu[1:]) if a):
+            continue  # mu must be strict
+        filled = [a < b for a, b in zip(mu, lam)]
+        joins = sum(
+            1 for i in range(n - 1) if filled[i] and filled[i + 1] and mu[i] == lam[i + 1]
+        )
+        pieces = sum(filled) - joins
+        parts = tuple(p for p in mu if p)
+        out.append((parts, 1 << (pieces - n + len(parts)), size - sum(mu)))
+    return out
 
 
-def schur_p(lam, m: int) -> Polynomial:
-    """Schur P-polynomial of a strict partition in m variables."""
+def schur_p(lam, m: int, cache: dict | None = None) -> Polynomial:
+    """Schur P-polynomial of a strict partition in m variables.
+
+    P_lam(x_1..x_m) is the sum, over the strict mu of ``_shifted_strips``,
+    of P_mu(x_1..x_{m-1}) 2^(c - l(lam) + l(mu)) x_m^{|lam/mu|} (Macdonald,
+    III sections 5 and 8).  ``cache`` keeps the entries below level m,
+    keyed ``(mu, k)``.
+    """
     if m < 1:
         raise ValueError("need at least one variable")
     if not isinstance(lam, StrictPartition):
         lam = StrictPartition(lam)
-    rows = lam.parts
-    cells = [(r, c) for r in range(1, len(rows) + 1) for c in range(r, r + rows[r - 1])]
-    terms: dict[tuple, int] = {}
-    weight = [0] * m
-    values: dict[tuple, int] = {}
-
-    def place(pos: int):
-        if pos == len(cells):
-            key = tuple(weight)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        r, c = cells[pos]
-        left = values.get((r, c - 1))
-        above = values.get((r - 1, c))
-        low = max(left or 1, above or 1)
-        for v in range(low, 2 * m + 1):
-            if c == r and v % 2 == 1:
-                continue  # diagonal cells are unprimed
-            if v == left and v % 2 == 1:
-                continue  # primed letters do not repeat along a row
-            if v == above and v % 2 == 0:
-                continue  # unprimed letters do not repeat down a column
-            values[(r, c)] = v
-            weight[(v + 1) // 2 - 1] += 1
-            place(pos + 1)
-            weight[(v + 1) // 2 - 1] -= 1
-            del values[(r, c)]
-
-    place(0)
-    return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+    return _branch(lam.parts, m, lambda mu, k: _shifted_strips(mu, k - 1), cache,
+                   lambda mu, k: (mu, k))
 
 
 # -- Kostant partition function and truncated characters -----------------

@@ -358,6 +358,42 @@ class TestNumericSpot:
         h = Polynomial(2, {(2, 0): 1, (1, 1): b, (0, 2): 1})
         assert not numeric_log_concavity_spot(h, [(1, 1)])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+            st.dictionaries(
+                st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+                st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+                min_size=1, max_size=6,
+            ),
+            st.lists(
+                st.tuples(*[st.fractions(min_value=Fraction(1, 4), max_value=8,
+                                         max_denominator=4)] * n),
+                min_size=1, max_size=3,
+            ),
+        ))
+    )
+    def test_one_pass_matches_derivative_polynomials(self, case):
+        # the verdict of h H(h) - grad grad^T read off the derivative
+        # polynomials, evaluated point by point, on inhomogeneous inputs too
+        terms, points = case
+        h = Polynomial(len(points[0]), terms)
+        n = h.arity
+        grads = [h.partial_derivative(i) for i in range(1, n + 1)]
+        expected = True
+        for point in points:
+            value = h.evaluate(point)
+            grad = [g.evaluate(point) for g in grads]
+            matrix = SymmetricMatrix([
+                [value * grads[i].partial_derivative(j + 1).evaluate(point) - grad[i] * grad[j]
+                 for j in range(n)]
+                for i in range(n)
+            ])
+            if inertia(matrix).positive > 0:
+                expected = False
+                break
+        assert numeric_log_concavity_spot(h, points) == expected
+
 
 # -- the integer kernels against their oracles, on generated inputs --------
 

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from lorentzpoly import corpus
+from lorentzpoly import corpus, sweeps
 from lorentzpoly.cli import main
+from lorentzpoly.oracles import schur_p_by_marked_tableaux, skew_schur_by_tableaux
+from lorentzpoly.polynomials import format_polynomial
 from lorentzpoly.sweeps import (
     FAMILY_TABLE,
     SweepBounds,
@@ -20,7 +22,7 @@ from lorentzpoly.sweeps import (
     strict_partitions_within,
     subpartitions,
 )
-from lorentzpoly.symmetric import Partition
+from lorentzpoly.symmetric import Partition, SkewShape
 
 
 def lorentz(*args, stdin=None):
@@ -112,6 +114,40 @@ class TestSweeps:
         first.pop("wall_time_s")
         second.pop("wall_time_s")
         assert first == second
+
+    @pytest.mark.parametrize("family, bounds", [
+        ("schur", SweepBounds(boxes=4, parts=3, vars=3)),
+        ("skew", SweepBounds(boxes=3, parts=2, vars=3)),
+        ("schur_p", SweepBounds(max_part=4, parts=2, vars=3)),
+        ("grothendieck_homog", SweepBounds(n=4)),
+    ])
+    def test_memo_tables_empty_after_sweep(self, family, bounds):
+        spec = SweepSpec(family, "certify", bounds)
+        first = run_sweep(spec).to_dict()
+        assert all(not table for table in sweeps._CACHES.values())
+        second = run_sweep(spec).to_dict()
+        assert all(not table for table in sweeps._CACHES.values())
+        first.pop("wall_time_s")
+        second.pop("wall_time_s")
+        assert first == second
+
+    def test_memo_tables_empty_after_interrupted_sweep(self, monkeypatch):
+        # an interrupt is no instance failure; it ends the sweep, and the
+        # tables the finished instances filled are still emptied
+        family = FAMILY_TABLE["schur"]
+        calls = []
+
+        def generate(payload):
+            calls.append(payload)
+            if len(calls) == 6:
+                raise KeyboardInterrupt
+            return family.generate(payload)
+
+        monkeypatch.setitem(FAMILY_TABLE, "schur", dataclasses.replace(family, generate=generate))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(SweepSpec("schur", "certify", SweepBounds(boxes=3, parts=2, vars=3)))
+        assert len(calls) == 6
+        assert all(not table for table in sweeps._CACHES.values())
 
     def test_parallel_matches_serial(self):
         spec = SweepSpec("schubert", "certify", SweepBounds(n=4))
@@ -221,6 +257,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: not enough memory to build this polynomial\n"
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--family", "schur", "--lambda", "1"],
+         lambda m: skew_schur_by_tableaux(SkewShape((1,), ()), m)),
+        (["--family", "skew", "--lambda", "2", "--inner", "1"],
+         lambda m: skew_schur_by_tableaux(SkewShape((2,), (1,)), m)),
+        (["--family", "schur_p", "--lambda", "1"],
+         lambda m: schur_p_by_marked_tableaux((1,), m)),
+    ])
+    def test_gen_many_variables(self, flags, expected, capsys):
+        # the branching rule loops over the variables; it never recurses once
+        # per variable, which would overflow the stack here
+        assert main(["gen", *flags, "--vars", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == format_polynomial(expected(2000))
+        assert captured.err == ""
 
     def test_sweep_cli_json(self):
         result = lorentz(

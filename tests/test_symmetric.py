@@ -4,9 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorentzpoly.certify import is_m_convex
-from lorentzpoly.oracles import alternant
+from lorentzpoly.oracles import (
+    alternant,
+    kostka_by_tableaux,
+    schur_p_by_marked_tableaux,
+    skew_schur_by_tableaux,
+)
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.symmetric import (
     Partition,
@@ -120,6 +127,79 @@ class TestKostka:
                     assert kostka(lam, mu) == brute_ssyt_count(lam.parts, mu)
 
 
+# -- the branching rules against the tableau walks ---------------------------
+
+
+@st.composite
+def partitions(draw, boxes, parts):
+    rows = draw(st.lists(st.integers(min_value=1, max_value=boxes), max_size=parts))
+    while sum(rows) > boxes:
+        rows.pop()
+    return tuple(sorted(rows, reverse=True))
+
+
+@st.composite
+def skew_shapes(draw, boxes):
+    outer = draw(partitions(boxes, boxes))
+    inner = []
+    for row in outer:
+        inner.append(draw(st.integers(min_value=0, max_value=min([row, *inner[-1:]]))))
+    return SkewShape(outer, inner)
+
+
+@st.composite
+def strict_partitions(draw, top, parts):
+    rows = draw(st.sets(st.integers(min_value=1, max_value=top), max_size=parts))
+    return StrictPartition(sorted(rows, reverse=True))
+
+
+class TestBranchingRules:
+    @settings(max_examples=150, deadline=None)
+    @given(skew_shapes(9), st.integers(min_value=1, max_value=6))
+    def test_skew_schur_matches_tableau_walk(self, shape, m):
+        assert skew_schur(shape, m).terms == skew_schur_by_tableaux(shape, m).terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(strict_partitions(7, 3), st.integers(min_value=1, max_value=4))
+    @example(StrictPartition((7, 6)), 3)  # x^(6,6,1) has coefficient 4
+    def test_schur_p_matches_marked_walk(self, lam, m):
+        assert schur_p(lam, m).terms == schur_p_by_marked_tableaux(lam, m).terms
+
+    def test_schur_p_joined_strip_rows(self):
+        # P_(7,6) -> P_(6,1) -> P_(6): the strip (7,6)/(6,1) has rows 1 and 2
+        # joined through mu_1 = lam_2, one piece, weight 2^(1 - 2 + 2) = 2
+        assert schur_p((7, 6), 3).coefficient((6, 6, 1)) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        partitions(8, 4),
+        st.lists(st.integers(min_value=0, max_value=4), max_size=4),
+    )
+    def test_kostka_matches_budgeted_walk(self, lam, mu):
+        assert kostka(lam, mu) == kostka_by_tableaux(lam, mu)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(skew_shapes(6), st.integers(min_value=1, max_value=5)),
+                    min_size=1, max_size=8))
+    def test_memo_changes_nothing(self, cases):
+        # one memo across shapes, inner shapes and arities, as in a sweep
+        cache = {}
+        for shape, m in cases:
+            assert skew_schur(shape, m, cache) == skew_schur(shape, m)
+            assert schur(shape.outer, m, cache) == schur(shape.outer, m)
+
+    def test_memo_keeps_only_lower_levels(self):
+        cache = {}
+        schur((3, 2, 1), 4, cache)
+        assert cache
+        assert all(k < 4 for _, _, k in cache)
+        p_cache = {}
+        schur_p((4, 2, 1), 5, p_cache)
+        assert p_cache
+        assert all(k < 5 for _, k in p_cache)
+        assert schur_p((4, 2, 1), 5, p_cache) == schur_p((4, 2, 1), 5)
+
+
 class TestSchur:
     def test_row_two(self):
         assert schur((2, 0), 2) == poly("vars: 2\nx1^2 + x1 x2 + x2^2")
@@ -131,7 +211,7 @@ class TestSchur:
         assert schur((1, 1, 1), 2) == Polynomial.zero(2)
 
     def test_bialternant_agreement(self):
-        # tableau enumeration satisfies s_lam a_delta = a_{lam + delta} across
+        # the branching rule satisfies s_lam a_delta = a_{lam + delta} across
         # the full range; a_delta is nonzero, so this pins s_lam down
         for m in range(1, 5):
             delta = [m - j for j in range(1, m + 1)]
