@@ -8,14 +8,12 @@ Run:  python demos/normalized_schur_walkthrough.py
 from fractions import Fraction
 
 from lorentzpoly import (
-    characteristic_polynomial,
     format_terms,
     lorentzian_certify,
     normalize,
     quadratic_form_matrix,
     schur,
 )
-from lorentzpoly import univariate
 
 print("=" * 72)
 print("1. A quadratic that is NOT Lorentzian")
@@ -30,7 +28,9 @@ print(f"witness: {cert.failure.to_dict()}")
 
 matrix = quadratic_form_matrix(s)
 print(f"quadratic form matrix rows: {[list(r) for r in matrix.rows]}")
-coeffs = characteristic_polynomial(matrix)
+# det(tI - M) of a 2x2 form is t^2 - (trace) t + det
+(a, b), (_, c) = matrix.rows
+coeffs = [a * c - b * b, -(a + c), Fraction(1)]
 print(f"characteristic polynomial (ascending): {coeffs}")
 print("-> factors as (t - 3/2)(t - 1/2): two positive eigenvalues, so the")
 print("   'at most one positive eigenvalue' condition fails.\n")
@@ -58,7 +58,8 @@ print(f"verdict: {lorentzian_certify(big).verdict}")
 # factor has no real roots: the polynomial is Lorentzian yet not stable.
 line = big.specialize({2: 1, 3: 1, 4: 1, 5: 1}) * 6
 print(f"6 N(s)|_(x,1,1,1,1) = {format_terms(line)}")
-roots = univariate.count_real_roots([Fraction(13), Fraction(6), Fraction(1)])
+discriminant = 6**2 - 4 * 13
+roots = 0 if discriminant < 0 else 1 if discriminant == 0 else 2
 print(f"real roots of x^2 + 6x + 13: {roots} "
       "(a certificate of non-stability, not of non-log-concavity)\n")
 

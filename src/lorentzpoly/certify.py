@@ -292,10 +292,6 @@ class SymmetricMatrix:
         self.dimension = n
         self.rows = rows
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based access."""
-        return self.rows[i - 1][j - 1]
-
     def __eq__(self, other):
         if not isinstance(other, SymmetricMatrix):
             return NotImplemented
@@ -305,33 +301,6 @@ class SymmetricMatrix:
 
     def __repr__(self):
         return f"SymmetricMatrix({[list(r) for r in self.rows]})"
-
-
-def _char_poly_int(rows) -> list:
-    """det(tI - B) for an integer matrix B, ascending coefficients.
-
-    Faddeev-LeVerrier: M_1 = B, c_k = -tr(M_k)/k, M_{k+1} = B(M_k + c_k I).
-    All intermediate matrices and coefficients stay integral.
-    """
-    n = len(rows)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m_k = [row[:] for row in rows]
-    for k in range(1, n + 1):
-        trace = sum(m_k[i][i] for i in range(n))
-        c, rem = divmod(-trace, k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier trace must divide exactly")
-        coeffs[n - k] = c
-        if k == n:
-            break
-        for i in range(n):
-            m_k[i][i] += c
-        m_k = [
-            [sum(rows[i][t] * m_k[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
 
 
 def _denominator_lcm(values) -> int:
@@ -349,15 +318,6 @@ def _integer_scaled(matrix: SymmetricMatrix):
     """Integer matrix L * M for the least positive L clearing denominators."""
     scale = _denominator_lcm(itertools.chain.from_iterable(matrix.rows))
     return [[int(v * scale) for v in row] for row in matrix.rows], scale
-
-
-def characteristic_polynomial(matrix: SymmetricMatrix) -> list:
-    """Monic det(tI - M), ascending Fraction coefficients."""
-    scaled, scale = _integer_scaled(matrix)
-    coeffs = _char_poly_int(scaled)
-    n = matrix.dimension
-    # eigenvalues of L*M are L times those of M
-    return [Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def _inertia_int(rows) -> InertiaSignature:
@@ -682,32 +642,6 @@ def bivariate_ulc(poly: Polynomial) -> bool:
         if lhs < rhs:
             return False
     return True
-
-
-def discrete_root_log_concavity(poly: Polynomial, mu, i: int, j: int) -> bool:
-    """coeff(mu)^2 >= coeff(mu + e_i - e_j) * coeff(mu + e_j - e_i), exactly.
-
-    Indices are 1-based; an exponent with a negative entry contributes 0.
-    """
-    if i == j:
-        raise ValueError("indices must differ")
-    n = poly.arity
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices must lie in 1..{n}")
-    mu = tuple(int(x) for x in mu)
-    if len(mu) != n:
-        raise ValueError(f"mu has length {len(mu)}, expected {n}")
-
-    def coeff_at(shift_up, shift_down):
-        e = list(mu)
-        e[shift_up - 1] += 1
-        e[shift_down - 1] -= 1
-        if e[shift_down - 1] < 0:
-            return Fraction(0)
-        return poly.coefficient(e)
-
-    center = poly.coefficient(mu) if all(x >= 0 for x in mu) else Fraction(0)
-    return center * center >= coeff_at(i, j) * coeff_at(j, i)
 
 
 def root_direction_violations(poly: Polynomial):

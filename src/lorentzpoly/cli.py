@@ -15,8 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__, corpus
-from .certify import characteristic_polynomial, lorentzian_certify, quadratic_form_matrix
+from .certify import lorentzian_certify, quadratic_form_matrix
 from .polynomials import (
+    MAX_PARSE_ARITY,
     Polynomial,
     format_polynomial,
     format_terms,
@@ -97,6 +98,9 @@ def _cmd_gen(args) -> int:
         # gen puts no cap on its bounds; a polynomial too large to build is
         # still a bad request, not a refutation
         raise UsageError("not enough memory to build this polynomial") from None
+    if poly.arity > MAX_PARSE_ARITY:
+        # what gen prints, certify must read back
+        raise UsageError(f"arity {poly.arity} exceeds the limit of {MAX_PARSE_ARITY}")
     sys.stdout.write(format_polynomial(poly))
     return 0
 
@@ -154,7 +158,8 @@ def _suite_checks():
         certificate = lorentzian_certify(poly)
         if certificate.is_lorentzian:
             return False, "expected NotLorentzian"
-        coeffs = characteristic_polynomial(quadratic_form_matrix(poly))
+        (a, b), (_, c) = quadratic_form_matrix(poly).rows
+        coeffs = [a * c - b * b, -(a + c), 1]  # det(tI - M), ascending
         expected = [Fraction(3, 4), Fraction(-2), Fraction(1)]  # (t - 3/2)(t - 1/2)
         if coeffs != expected:
             return False, f"characteristic polynomial {coeffs}"

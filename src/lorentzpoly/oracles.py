@@ -6,20 +6,24 @@ through which the tests check the alternant identity s_lambda a_delta =
 a_{lambda + delta} (versus the branching rule), skew Schur polynomials,
 Kostka numbers and Schur P-polynomials by walking every semistandard or
 marked shifted tableau (versus the branching rule), characteristic
-polynomials by minor expansion over column subsets (versus the
-Faddeev-LeVerrier recursion),
-eigenvalue sign counts by Descartes counting on the Faddeev-LeVerrier
-characteristic polynomial and by Sturm-chain interval bracketing of the
-minor-expansion one, refined until every root is separated from zero
-(both versus congruence elimination), the root-direction log-concavity
-scan by three exact coefficient lookups per point (versus integer
-lines), the first exchange-axiom violation by building and looking up the
-moved points of every pair (versus bit masks of the moves within the
-set), the first Hessian failure by differentiating along each derivative
-multiset, with no symmetry reduction (versus one pass over the terms,
-one multiset per symmetry orbit), and the advisory
-log-concavity spot check, the exact inertia of the Hessian of log h at
-sample points (versus the Hessian certificate).
+polynomials by the Faddeev-LeVerrier recursion and by minor expansion
+over column subsets (each the other's check), eigenvalue sign counts by
+Descartes counting on the Faddeev-LeVerrier characteristic polynomial and
+by Sturm-chain interval bracketing of the minor-expansion one, refined
+until every root is separated from zero (both versus congruence
+elimination), the root-direction log-concavity scan by checking each
+point with three exact coefficient lookups (versus integer lines), the
+first exchange-axiom violation by building and looking up the moved
+points of every pair (versus bit masks of the moves within the set), the
+first Hessian failure by differentiating along each derivative multiset,
+with no symmetry reduction (versus one pass over the terms, one multiset
+per symmetry orbit), and the advisory log-concavity spot check, the exact
+inertia of the Hessian of log h at sample points (versus the Hessian
+certificate).
+
+The main modules answer each question by one route and import nothing
+from here; this module, and ``univariate`` through it, serve the tests and
+the benchmark's result checks.
 """
 
 import itertools
@@ -30,9 +34,8 @@ from . import univariate
 from .certify import (
     InertiaSignature,
     _exchange_ok,
+    _integer_scaled,
     SymmetricMatrix,
-    characteristic_polynomial,
-    discrete_root_log_concavity,
     inertia,
     quadratic_form_matrix,
 )
@@ -88,6 +91,43 @@ def characteristic_polynomial_by_minors(matrix: SymmetricMatrix) -> list:
             nxt[cols] = univariate.trim(total) or [Fraction(0)]
         minors = nxt
     return minors[tuple(range(n))]
+
+
+def _char_poly_int(rows) -> list:
+    """det(tI - B) for an integer matrix B, ascending coefficients.
+
+    Faddeev-LeVerrier: M_1 = B, c_k = -tr(M_k)/k, M_{k+1} = B(M_k + c_k I).
+    All intermediate matrices and coefficients stay integral.
+    """
+    n = len(rows)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m_k = [row[:] for row in rows]
+    for k in range(1, n + 1):
+        trace = sum(m_k[i][i] for i in range(n))
+        c, rem = divmod(-trace, k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace must divide exactly")
+        coeffs[n - k] = c
+        if k == n:
+            break
+        for i in range(n):
+            m_k[i][i] += c
+        m_k = [
+            [sum(rows[i][t] * m_k[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return coeffs
+
+
+def characteristic_polynomial(matrix: SymmetricMatrix) -> list:
+    """Monic det(tI - M), ascending Fraction coefficients, by Faddeev-LeVerrier
+    on the integer-scaled matrix."""
+    scaled, scale = _integer_scaled(matrix)
+    coeffs = _char_poly_int(scaled)
+    n = matrix.dimension
+    # eigenvalues of L*M are L times those of M
+    return [Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def _signature_from_char_coeffs(coeffs, n: int) -> InertiaSignature:
@@ -344,6 +384,32 @@ def first_hessian_failure_by_derivatives(poly: Polynomial):
 
 
 # -- root-direction log-concavity -----------------------------------------
+
+
+def discrete_root_log_concavity(poly: Polynomial, mu, i: int, j: int) -> bool:
+    """coeff(mu)^2 >= coeff(mu + e_i - e_j) * coeff(mu + e_j - e_i), exactly.
+
+    Indices are 1-based; an exponent with a negative entry contributes 0.
+    """
+    if i == j:
+        raise ValueError("indices must differ")
+    n = poly.arity
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"indices must lie in 1..{n}")
+    mu = tuple(int(x) for x in mu)
+    if len(mu) != n:
+        raise ValueError(f"mu has length {len(mu)}, expected {n}")
+
+    def coeff_at(shift_up, shift_down):
+        e = list(mu)
+        e[shift_up - 1] += 1
+        e[shift_down - 1] -= 1
+        if e[shift_down - 1] < 0:
+            return Fraction(0)
+        return poly.coefficient(e)
+
+    center = poly.coefficient(mu) if all(x >= 0 for x in mu) else Fraction(0)
+    return center * center >= coeff_at(i, j) * coeff_at(j, i)
 
 
 def root_direction_violations_by_lookup(poly: Polynomial):

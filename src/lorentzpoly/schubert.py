@@ -307,11 +307,11 @@ def schubert_dual(w: Permutation, cache: dict | None = None) -> Polynomial:
     return normalize(schubert(w, cache).dualize((n - 1,) * n))
 
 
-def grothendieck_component(w: Permutation, k: int, cache: dict | None = None) -> Polynomial:
+def grothendieck_component(w: Permutation, k: int) -> Polynomial:
     """Homogeneous piece of the Grothendieck polynomial in degree l(w) + k."""
     if k < 0:
         raise ValueError("component index must be nonnegative")
-    return grothendieck(w, cache).homogeneous_component(w.length() + k)
+    return grothendieck(w).homogeneous_component(w.length() + k)
 
 
 def homogeneous_grothendieck(w: Permutation, cache: dict | None = None) -> Polynomial:
@@ -350,20 +350,20 @@ def key_polynomial(mu) -> Polynomial:
     return _descent_recursion(mu, op, lambda top: Polynomial.monomial(n, top), None)
 
 
+def _chain_sum(u: Permutation, arity: int, memo: dict) -> Polynomial:
+    """Chain sum from the identity to u; ``memo`` maps one_line to it."""
+    if u.one_line not in memo:
+        # the identity has no lower cover; its one chain is empty
+        total = Polynomial.constant(arity, 1 if u.is_identity() else 0)
+        for cover in _lower_covers(u):
+            below = _chain_sum(cover.lower, arity, memo)
+            total = total + cover.chevalley_multiplicity(arity) * below
+        memo[u.one_line] = total
+    return memo[u.one_line]
+
+
 def degree_polynomial(w: Permutation) -> Polynomial:
     """Sum over saturated Bruhat chains from the identity to w of the
     product of Chevalley multiplicities; a polynomial in n - 1 variables
     (one variable when n = 1, where the only chain is empty)."""
-    arity = max(1, w.n - 1)
-    memo: dict[tuple, Polynomial] = {}  # one_line -> chain sum from the identity
-
-    def chains(u: Permutation) -> Polynomial:
-        if u.one_line not in memo:
-            # the identity has no lower cover; its one chain is empty
-            total = Polynomial.constant(arity, 1 if u.is_identity() else 0)
-            for cover in _lower_covers(u):
-                total = total + cover.chevalley_multiplicity(arity) * chains(cover.lower)
-            memo[u.one_line] = total
-        return memo[u.one_line]
-
-    return chains(w)
+    return _chain_sum(w, max(1, w.n - 1), {})

@@ -326,6 +326,27 @@ def _negative_roots(m: int):
     return [(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
+def _kostant_ways(index, target, roots, settled, bound, memo) -> int:
+    """Multisets of ``roots[index:]``, each root used at most ``bound`` times,
+    summing to ``target``; ``memo`` maps (index, target) to the count."""
+    key = (index, target)
+    if key not in memo:
+        if any(target[i] for i in settled[index]):
+            total = 0
+        elif index == len(roots):
+            total = 1
+        else:
+            a, b = roots[index]
+            total = 0
+            for count in range(bound + 1):
+                nxt = list(target)
+                nxt[a] += count
+                nxt[b] -= count
+                total += _kostant_ways(index + 1, tuple(nxt), roots, settled, bound, memo)
+        memo[key] = total
+    return memo[key]
+
+
 def kostant_partition(v) -> int:
     """Count multisets of negative roots e_b - e_a (a < b) summing to ``v``.
 
@@ -348,27 +369,7 @@ def kostant_partition(v) -> int:
     for a, b in reversed(roots):
         settled.append(settled[-1] - {a, b})
     settled.reverse()
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def ways(index: int, target: tuple) -> int:
-        if any(target[i] for i in settled[index]):
-            return 0
-        if index == len(roots):
-            return 1
-        a, b = roots[index]
-        total = 0
-        for count in range(bound + 1):
-            nxt = list(target)
-            nxt[a] += count
-            nxt[b] -= count
-            total += ways(index + 1, tuple(nxt))
-        return total
-
-    result = ways(0, v)
-    ways.cache_clear()
-    return result
+    return _kostant_ways(0, v, roots, settled, bound, {})
 
 
 def verma_truncated_normalized(delta) -> Polynomial:

@@ -18,7 +18,6 @@ from lorentzpoly.certify import (
     InertiaSignature,
     SymmetricMatrix,
     bivariate_ulc,
-    characteristic_polynomial,
     inertia,
     is_m_convex,
     lorentzian_certify,
@@ -26,7 +25,11 @@ from lorentzpoly.certify import (
     root_direction_violations,
     verify_certificate,
 )
-from lorentzpoly.oracles import inertia_by_sturm_bracketing, numeric_log_concavity_spot
+from lorentzpoly.oracles import (
+    characteristic_polynomial,
+    inertia_by_sturm_bracketing,
+    numeric_log_concavity_spot,
+)
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,

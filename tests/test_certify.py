@@ -3,6 +3,7 @@ import gc
 import itertools
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,8 +18,6 @@ from lorentzpoly.certify import (
     SymmetricMatrix,
     _multiset_indices,
     bivariate_ulc,
-    characteristic_polynomial,
-    discrete_root_log_concavity,
     inertia,
     is_m_convex,
     lorentzian_certify,
@@ -28,6 +27,8 @@ from lorentzpoly.certify import (
     verify_certificate,
 )
 from lorentzpoly.oracles import (
+    characteristic_polynomial,
+    discrete_root_log_concavity,
     first_hessian_failure_by_derivatives,
     inertia_by_char_poly,
     inertia_by_sturm_bracketing,
@@ -609,9 +610,15 @@ def test_hot_paths_use_the_integer_kernels():
           if module != "oracles.py")
     )
     assert "_signature_from_char_coeffs" not in production
-    assert "_char_poly_int" not in names["certify.py", "lorentzian_certify"]
-    assert "_char_poly_int" not in names["certify.py", "inertia"]
-    scan = names["certify.py", "root_direction_violations"]
-    assert not scan & {"discrete_root_log_concavity", "coefficient"}
+    assert "coefficient" not in names["certify.py", "root_direction_violations"]
+    # Faddeev-LeVerrier and the per-point root check are defined and named
+    # in oracles.py alone, not in another module or a demo
+    second_routes = re.compile(
+        r"\b(_char_poly_int|characteristic_polynomial|discrete_root_log_concavity)\b"
+    )
+    demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
+    for path in [*package.glob("*.py"), *demos.glob("*.py")]:
+        if path.name != "oracles.py":
+            assert not second_routes.search(path.read_text(encoding="utf-8")), path.name
     # the witness scan works on bit masks; _exchange_ok re-checks witnesses
     assert "_exchange_ok" not in names["certify.py", "_exchange_scan"]

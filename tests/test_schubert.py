@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -195,9 +196,8 @@ class TestGrothendieck:
             assert grothendieck(w) == grothendieck_largest_path(w)
 
     def test_lowest_component_is_schubert(self):
-        cache = {}
         for w in all_permutations(4):
-            assert grothendieck_component(w, 0, cache) == schubert(w)
+            assert grothendieck_component(w, 0) == schubert(w)
 
     def test_component_signs_alternate(self):
         cache = {}
@@ -331,6 +331,16 @@ class TestDegreePolynomials:
     @given(st.sampled_from([w for w in all_permutations(5) if w.length() <= 6]))
     def test_matches_unmemoized_chain_sum_in_s5(self, w):
         assert degree_polynomial(w) == unmemoized_chain_sum(w, 4)
+
+    def test_leaves_no_reference_cycles(self):
+        # the memo of the Bruhat interval goes with the call
+        gc.collect()
+        gc.disable()
+        try:
+            degree_polynomial(Permutation((5, 4, 3, 2, 1)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def unmemoized_chain_sum(u, arity):

@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from lorentzpoly import corpus, sweeps
-from lorentzpoly.cli import main
+from lorentzpoly.cli import _generate, build_parser, main
 from lorentzpoly.oracles import schur_p_by_marked_tableaux, skew_schur_by_tableaux
-from lorentzpoly.polynomials import format_polynomial
+from lorentzpoly.polynomials import MAX_PARSE_ARITY, format_polynomial, parse_polynomial
 from lorentzpoly.sweeps import (
     FAMILY_TABLE,
     SweepBounds,
@@ -269,10 +269,20 @@ class TestCli:
     def test_gen_many_variables(self, flags, expected, capsys):
         # the branching rule loops over the variables; it never recurses once
         # per variable, which would overflow the stack here
-        assert main(["gen", *flags, "--vars", "2000"]) == 0
+        args = build_parser().parse_args(["gen", *flags, "--vars", "2000"])
+        assert _generate(args) == expected(2000)
+        # gen prints only what certify can read back
+        assert main(["gen", *flags, "--vars", str(MAX_PARSE_ARITY)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == format_polynomial(expected(2000))
+        assert captured.out == format_polynomial(expected(MAX_PARSE_ARITY))
+        assert parse_polynomial(captured.out) == expected(MAX_PARSE_ARITY)
         assert captured.err == ""
+        assert main(["gen", *flags, "--vars", str(MAX_PARSE_ARITY + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: arity {MAX_PARSE_ARITY + 1} exceeds the limit of {MAX_PARSE_ARITY}\n"
+        )
 
     def test_sweep_cli_json(self):
         result = lorentz(

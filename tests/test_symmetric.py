@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -309,6 +310,18 @@ class TestKostant:
         for m in (2, 3, 4):
             for v in itertools.product(range(-3, 4), repeat=m):
                 assert kostant_partition(v) == brute_kostant(v)
+
+    def test_leaves_no_reference_cycles(self):
+        # the knapsack memo goes with the call
+        v = (-2, -1, 1, 2)
+        expected = brute_kostant(v)
+        gc.collect()
+        gc.disable()
+        try:
+            assert kostant_partition(v) == expected
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestVerma:

@@ -48,11 +48,13 @@ def test_exact_divide_round_trip():
 
 
 def test_only_oracles_imports_second_routes():
-    # production code has one route per question; univariate (Sturm chains)
-    # and the oracles module serve the tests, through oracles.py alone
+    # production code and the demos have one route per question; univariate
+    # (Sturm chains) and the oracles module serve the tests, through
+    # oracles.py alone
     package = pathlib.Path(lorentzpoly.__file__).parent
+    demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
     importers = set()
-    for path in package.glob("*.py"):
+    for path in [*package.glob("*.py"), *demos.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] + [alias.name for alias in node.names]
