@@ -10,6 +10,7 @@ parse errors.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -91,16 +92,23 @@ def _generate(args) -> Polynomial:
     return poly
 
 
+def _check_arity(arity: int):
+    # what gen prints, certify must read back
+    if arity > MAX_PARSE_ARITY:
+        raise UsageError(f"arity {arity} exceeds the limit of {MAX_PARSE_ARITY}")
+
+
 def _cmd_gen(args) -> int:
+    family = FAMILY_TABLE.get(args.family)
+    if family is not None and "vars" in family.gen_flags and args.vars is not None:
+        _check_arity(args.vars)  # before a build that can take minutes
     try:
         poly = _generate(args)
     except MemoryError:
         # gen puts no cap on its bounds; a polynomial too large to build is
         # still a bad request, not a refutation
         raise UsageError("not enough memory to build this polynomial") from None
-    if poly.arity > MAX_PARSE_ARITY:
-        # what gen prints, certify must read back
-        raise UsageError(f"arity {poly.arity} exceeds the limit of {MAX_PARSE_ARITY}")
+    _check_arity(poly.arity)
     sys.stdout.write(format_polynomial(poly))
     return 0
 
@@ -131,14 +139,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    bounds = SweepBounds(
-        boxes=args.boxes,
-        parts=args.parts,
-        vars=args.vars,
-        n=args.n,
-        delta=args.delta,
-        max_part=args.max_part,
-    )
+    fields = dataclasses.fields(SweepBounds)
+    bounds = SweepBounds(**{f.name: getattr(args, f.name) for f in fields})
     spec = SweepSpec(args.family, args.mode, bounds)
     report = run_sweep(spec, jobs=args.jobs, only=args.only)
     if args.out == "json":
@@ -296,12 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a family sweep")
     sweep.add_argument("--family", required=True)
     sweep.add_argument("--mode", choices=MODES, default="certify")
-    sweep.add_argument("--boxes", type=int)
-    sweep.add_argument("--parts", type=int)
-    sweep.add_argument("--vars", type=int)
-    sweep.add_argument("--n", type=int)
-    sweep.add_argument("--delta", type=int)
-    sweep.add_argument("--max-part", dest="max_part", type=int)
+    for bound in dataclasses.fields(SweepBounds):
+        sweep.add_argument(f"--{bound.name.replace('_', '-')}", dest=bound.name, type=int)
     sweep.add_argument("--jobs", type=int, default=0,
                        help="parallel workers (default: all available cores)")
     sweep.add_argument("--only", help="restrict to instance ids containing this string")

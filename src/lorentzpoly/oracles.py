@@ -17,7 +17,11 @@ first exchange-axiom violation by building and looking up the moved
 points of every pair (versus bit masks of the moves within the set), the
 first Hessian failure by differentiating along each derivative multiset,
 with no symmetry reduction (versus one pass over the terms, one multiset
-per symmetry orbit), and the advisory log-concavity spot check, the exact
+per symmetry orbit), degree polynomials from Bruhat covers found by
+comparing lengths, summed upward through the interval one length at a
+time with ``Polynomial`` linear forms (versus covers read off the one-line
+entries and a memoized recursion down from w on int coefficients), and the
+advisory log-concavity spot check, the exact
 inertia of the Hessian of log h at sample points (versus the Hessian
 certificate).
 
@@ -40,6 +44,7 @@ from .certify import (
     quadratic_form_matrix,
 )
 from .polynomials import Polynomial
+from .schubert import Permutation
 from .symmetric import Partition, SkewShape, StrictPartition
 
 
@@ -327,6 +332,50 @@ def schur_p_by_marked_tableaux(lam, m: int) -> Polynomial:
 
     place(0)
     return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+
+
+# -- degree polynomials ------------------------------------------------------
+
+
+def lower_covers_by_length(w: Permutation):
+    """(lower, i, j) for every lower cover of w, ordered by (i, j): each swap
+    of positions i < j (1-based) that lowers the length by exactly one."""
+    length = w.length()
+    covers = []
+    for i in range(1, w.n):
+        for j in range(i + 1, w.n + 1):
+            lower = w.swap_positions(i, j)
+            if lower.length() == length - 1:
+                covers.append((lower, i, j))
+    return covers
+
+
+def degree_polynomial_by_levels(w: Permutation) -> Polynomial:
+    """The chain sum of ``degree_polynomial``, built upward by length.
+
+    The Bruhat interval [id, w] is collected one length at a time down from
+    w through ``lower_covers_by_length``.  Then, from the identity's 1 up,
+    each element's sum is that of the linear form x_i + ... + x_{j-1} times
+    the lower element's sum, over its covers (lower, i, j), in ``Polynomial``
+    arithmetic.
+    """
+    arity = max(1, w.n - 1)
+    levels = [{w: lower_covers_by_length(w)}]
+    for _ in range(w.length()):
+        lowers = {lower for covers in levels[-1].values() for lower, _, _ in covers}
+        levels.append({u: lower_covers_by_length(u) for u in lowers})
+    sums = {}
+    for level in reversed(levels):
+        for u, covers in level.items():
+            # the identity, alone on the last level, has one empty chain
+            total = Polynomial.constant(arity, 0 if covers else 1)
+            for lower, i, j in covers:
+                form = Polynomial.zero(arity)
+                for k in range(i, j):
+                    form = form + Polynomial.variable(arity, k)
+                total = total + form * sums[lower]
+            sums[u] = total
+    return sums[w]
 
 
 # -- the exchange axiom -----------------------------------------------------

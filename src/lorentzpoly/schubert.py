@@ -19,11 +19,13 @@ factor out.
 
 Degree polynomials sum, over saturated chains of the Bruhat order, the
 product of the linear forms x_i + ... + x_{j-1} attached to each cover by
-the transposed positions i < j; each call memoizes the sum per
-permutation of the interval.
+the transposed positions i < j.  The lower covers of a one-line tuple are
+read off its entries, with no length count, and each call memoizes the sum
+as int coefficients per tuple of the interval.
 """
 
 import itertools
+from fractions import Fraction
 
 from .polynomials import Polynomial, normalize
 
@@ -178,59 +180,6 @@ def avoids_pattern(w: Permutation, pattern: Permutation) -> bool:
     return True
 
 
-class BruhatCover:
-    """A covering relation lower < upper = lower * t(i, j) with i < j."""
-
-    __slots__ = ("lower", "upper", "i", "j")
-
-    def __init__(self, lower: Permutation, upper: Permutation, i: int, j: int):
-        if not (1 <= i < j <= lower.n):
-            raise ValueError(f"bad transposition positions ({i}, {j})")
-        if lower.swap_positions(i, j) != upper:
-            raise ValueError("upper is not lower transposed at (i, j)")
-        if upper.length() != lower.length() + 1:
-            raise ValueError("not a covering relation: length must rise by 1")
-        self.lower = lower
-        self.upper = upper
-        self.i = i
-        self.j = j
-
-    def __repr__(self):
-        return f"BruhatCover({self.lower!r} < {self.upper!r} via ({self.i},{self.j}))"
-
-    def chevalley_multiplicity(self, arity: int) -> Polynomial:
-        """The linear form x_i + ... + x_{j-1} in the given arity."""
-        terms = {}
-        for k in range(self.i, self.j):
-            exponent = [0] * arity
-            exponent[k - 1] = 1
-            terms[tuple(exponent)] = 1
-        return Polynomial(arity, terms)
-
-
-def bruhat_covers(w: Permutation):
-    """All upward covers w < w t(i, j), ordered by (i, j)."""
-    length = w.length()
-    covers = []
-    for i in range(1, w.n):
-        for j in range(i + 1, w.n + 1):
-            upper = w.swap_positions(i, j)
-            if upper.length() == length + 1:
-                covers.append(BruhatCover(w, upper, i, j))
-    return covers
-
-
-def _lower_covers(w: Permutation):
-    length = w.length()
-    out = []
-    for i in range(1, w.n):
-        for j in range(i + 1, w.n + 1):
-            lower = w.swap_positions(i, j)
-            if lower.length() == length - 1:
-                out.append(BruhatCover(lower, w, i, j))
-    return out
-
-
 # -- operator machinery --------------------------------------------------
 
 
@@ -350,20 +299,40 @@ def key_polynomial(mu) -> Polynomial:
     return _descent_recursion(mu, op, lambda top: Polynomial.monomial(n, top), None)
 
 
-def _chain_sum(u: Permutation, arity: int, memo: dict) -> Polynomial:
-    """Chain sum from the identity to u; ``memo`` maps one_line to it."""
-    if u.one_line not in memo:
-        # the identity has no lower cover; its one chain is empty
-        total = Polynomial.constant(arity, 1 if u.is_identity() else 0)
-        for cover in _lower_covers(u):
-            below = _chain_sum(cover.lower, arity, memo)
-            total = total + cover.chevalley_multiplicity(arity) * below
-        memo[u.one_line] = total
-    return memo[u.one_line]
+def _covers_below(line: tuple):
+    """(lower, i, j) for each lower cover of ``line``, ordered by (i, j):
+    positions i < j (0-based) with line[i] > line[j] and no value strictly
+    between the two at a position between them (Bjorner-Brenti, Lemma
+    2.1.4); lower is ``line`` with positions i and j swapped."""
+    for i, high in enumerate(line):
+        floor = 0  # the largest value below ``high`` seen since position i
+        for j in range(i + 1, len(line)):
+            if floor < line[j] < high:
+                floor = line[j]
+                yield line[:i] + (floor,) + line[i + 1 : j] + (high,) + line[j + 1 :], i, j
+
+
+def _chain_sum(line: tuple, arity: int, memo: dict) -> dict:
+    """{exponent: int} of the chain sum from the identity to ``line``;
+    ``memo`` maps tuples to it."""
+    terms = memo.get(line)
+    if terms is None:
+        terms = {}
+        for lower, i, j in _covers_below(line):
+            for exponent, coeff in _chain_sum(lower, arity, memo).items():
+                for k in range(i, j):  # times x_{i+1} + ... + x_j
+                    key = exponent[:k] + (exponent[k] + 1,) + exponent[k + 1 :]
+                    terms[key] = terms.get(key, 0) + coeff
+        if not terms:  # only the identity has no lower cover; its one chain is empty
+            terms = {(0,) * arity: 1}
+        memo[line] = terms
+    return terms
 
 
 def degree_polynomial(w: Permutation) -> Polynomial:
     """Sum over saturated Bruhat chains from the identity to w of the
     product of Chevalley multiplicities; a polynomial in n - 1 variables
     (one variable when n = 1, where the only chain is empty)."""
-    return _chain_sum(w, max(1, w.n - 1), {})
+    arity = max(1, w.n - 1)
+    terms = _chain_sum(w.one_line, arity, {})
+    return Polynomial._raw(arity, {e: Fraction(c) for e, c in terms.items()})

@@ -56,7 +56,8 @@ CAP_DELTA = 6
 
 
 class SweepCapError(ValueError):
-    """A requested bound exceeds the hard desk-scale caps."""
+    """A requested bound is missing, exceeds the hard desk-scale caps, or is
+    one the family does not take."""
 
 
 @dataclass(frozen=True)
@@ -329,6 +330,10 @@ FAMILIES = tuple(FAMILY_TABLE)
 def _instances(spec: SweepSpec):
     """(instance_id, payload) pairs; payloads are picklable primitives."""
     family = FAMILY_TABLE[spec.family]
+    taken = {name for name, _, _ in family.bounds}
+    for name, value in spec.bounds.to_dict().items():
+        if name not in taken:
+            raise SweepCapError(f"bound {name}={value} does not apply to family {spec.family}")
     values = [
         _require(getattr(spec.bounds, name), name, low, cap)
         for name, low, cap in family.bounds

@@ -390,7 +390,7 @@ def verma_truncated_normalized(delta) -> Polynomial:
         raise ValueError("need at least one variable")
     cap = sum(delta)
 
-    factors = sorted(_negative_roots(m), key=lambda ab: (ab[0], ab[1]))
+    factors = _negative_roots(m)
     # raises_left[t][c] = how many factors from position t on can still raise
     # coordinate c; used to prune partial products that already sank below
     # what later factors plus the final x^delta shift can recover.  After the

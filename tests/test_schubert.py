@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 import pytest
 
 from lorentzpoly.polynomials import Polynomial, parse_polynomial
+from lorentzpoly.oracles import degree_polynomial_by_levels, lower_covers_by_length
 from lorentzpoly.schubert import (
-    BruhatCover,
-    _lower_covers,
     Permutation,
+    _covers_below,
     all_permutations,
     avoids_pattern,
-    bruhat_covers,
     degree_polynomial,
     demazure_pi,
     divided_difference,
@@ -304,33 +303,36 @@ class TestDegreePolynomials:
 
     def test_chain_counts_match_memoized_recursion(self):
         # plain DFS chain count against a cached bottom-up count
-        from lorentzpoly.schubert import _lower_covers
-
         def dfs_chains(u):
             if u.is_identity():
                 return 1
-            return sum(dfs_chains(c.lower) for c in _lower_covers(u))
+            return sum(dfs_chains(lower) for lower, _, _ in lower_covers_by_length(u))
 
         cached = {Permutation.identity(4).one_line: 1}
 
         def dp_chains(u):
             if u.one_line in cached:
                 return cached[u.one_line]
-            value = sum(dp_chains(c.lower) for c in _lower_covers(u))
+            value = sum(dp_chains(lower) for lower, _, _ in lower_covers_by_length(u))
             cached[u.one_line] = value
             return value
 
         for w in all_permutations(4):
             assert dfs_chains(w) == dp_chains(w)
 
-    def test_matches_unmemoized_chain_sum(self):
+    def test_matches_oracle_in_s4(self):
         for w in all_permutations(4):
-            assert degree_polynomial(w) == unmemoized_chain_sum(w, 3), w
+            assert degree_polynomial(w) == degree_polynomial_by_levels(w), w
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-    @given(st.sampled_from([w for w in all_permutations(5) if w.length() <= 6]))
-    def test_matches_unmemoized_chain_sum_in_s5(self, w):
-        assert degree_polynomial(w) == unmemoized_chain_sum(w, 4)
+    def test_matches_oracle_in_s5(self):
+        for w in all_permutations(5):
+            assert degree_polynomial(w) == degree_polynomial_by_levels(w), w
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(st.permutations(range(1, 7)))
+    def test_matches_oracle_in_s6(self, line):
+        w = Permutation(line)
+        assert degree_polynomial(w) == degree_polynomial_by_levels(w)
 
     def test_leaves_no_reference_cycles(self):
         # the memo of the Bruhat interval goes with the call
@@ -343,45 +345,33 @@ class TestDegreePolynomials:
             gc.enable()
 
 
-def unmemoized_chain_sum(u, arity):
-    """The chain sum of ``degree_polynomial``, recomputed below every cover."""
-    if u.is_identity():
-        return Polynomial.constant(arity, 1)
-    total = Polynomial.zero(arity)
-    for cover in _lower_covers(u):
-        total = total + cover.chevalley_multiplicity(arity) * unmemoized_chain_sum(
-            cover.lower, arity
-        )
-    return total
+def covers_below(w):
+    """The production lower covers of w as (lower, i, j), 1-based."""
+    return [(Permutation(lower), i + 1, j + 1) for lower, i, j in _covers_below(w.one_line)]
 
 
 class TestBruhatCovers:
     def test_identity_covers(self):
-        covers = bruhat_covers(Permutation.identity(3))
-        assert [(c.i, c.j) for c in covers] == [(1, 2), (2, 3)]
+        # the identity covers nothing; s_i covers only the identity, via (i, i+1)
+        assert covers_below(Permutation.identity(3)) == []
+        assert covers_below(Permutation((1, 3, 2))) == [(Permutation.identity(3), 2, 3)]
 
     def test_each_cover_raises_length_by_one(self):
         for w in all_permutations(4):
-            for cover in bruhat_covers(w):
-                assert cover.upper.length() == cover.lower.length() + 1
+            for lower, _, _ in covers_below(w):
+                assert lower.length() == w.length() - 1
 
     def test_cover_labels_unique(self):
         # the transposition joining a cover pair is lower^-1 upper, so at most
         # one (i, j) can witness any pair
         for w in all_permutations(4):
-            seen = {}
-            for cover in bruhat_covers(w):
-                assert cover.upper.one_line not in seen
-                seen[cover.upper.one_line] = (cover.i, cover.j)
+            lowers = [lower for lower, _, _ in covers_below(w)]
+            assert len(set(lowers)) == len(lowers)
 
-    def test_invalid_cover_rejected(self):
-        with pytest.raises(ValueError):
-            BruhatCover(Permutation((2, 1)), Permutation((2, 1)), 1, 2)
-
-    def test_chevalley_multiplicity(self):
-        # 213 < 312 is a cover labeled by the position pair (1, 3)
-        cover = BruhatCover(Permutation((2, 1, 3)), Permutation((3, 1, 2)), 1, 3)
-        assert cover.chevalley_multiplicity(2) == poly("vars: 2\nx1 + x2")
+    def test_matches_length_rule(self):
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                assert covers_below(w) == lower_covers_by_length(w), w
 
 
 class TestGrassmannianAndPatterns:

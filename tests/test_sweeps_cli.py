@@ -103,6 +103,13 @@ class TestSweeps:
         with pytest.raises(SweepCapError):
             run_sweep(SweepSpec("schubert", "certify", SweepBounds()))
 
+    def test_bound_the_family_does_not_take(self):
+        with pytest.raises(SweepCapError, match="boxes=99"):
+            run_sweep(SweepSpec("schubert", "certify", SweepBounds(n=3, boxes=99)))
+        with pytest.raises(SweepCapError, match="max_part=3"):
+            run_sweep(SweepSpec("schur", "certify",
+                                SweepBounds(boxes=2, parts=1, vars=1, max_part=3)))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             SweepSpec("nope", "certify", SweepBounds())
@@ -251,12 +258,34 @@ class TestCli:
             raise MemoryError
 
         monkeypatch.setitem(FAMILY_TABLE, "schur", dataclasses.replace(family, generate=generate))
-        code = main(["gen", "--family", "schur", "--lambda", "1", "--vars", "1000000000000"])
+        code = main(["gen", "--family", "schur", "--lambda", "1", "--vars", "1000"])
         assert code == 2
-        assert payloads == [((1,), 1000000000000)]
+        assert payloads == [((1,), 1000)]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: not enough memory to build this polynomial\n"
+        # an arity gen could not print is refused before the generator runs
+        code = main(["gen", "--family", "schur", "--lambda", "1", "--vars", "1000000000000"])
+        assert code == 2
+        assert payloads == [((1,), 1000)]
+        assert capsys.readouterr().err == (
+            f"error: arity 1000000000000 exceeds the limit of {MAX_PARSE_ARITY}\n"
+        )
+
+    @pytest.mark.parametrize("family, flags", [
+        ("schur", ["--lambda", "3,2,1"]),
+        ("skew", ["--lambda", "3,2,1", "--inner", "1"]),
+        ("schur_p", ["--lambda", "3,1"]),
+    ])
+    def test_gen_refuses_arity_before_building(self, family, flags, monkeypatch, capsys):
+        payloads = []
+        monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(
+            FAMILY_TABLE[family], generate=payloads.append))
+        assert main(["gen", "--family", family, *flags, "--vars", "1500"]) == 2
+        assert payloads == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: arity 1500 exceeds the limit of {MAX_PARSE_ARITY}\n"
 
     @pytest.mark.parametrize("flags, expected", [
         (["--family", "schur", "--lambda", "1"],
@@ -296,6 +325,21 @@ class TestCli:
     def test_sweep_cap_exits_2(self):
         result = lorentz("sweep", "--family", "schubert", "--n", "9")
         assert result.returncode == 2
+
+    def test_sweep_bound_flags(self):
+        # one flag per SweepBounds field, an underscore spelled as a dash
+        args = build_parser().parse_args([
+            "sweep", "--family", "schur_p", "--boxes", "1", "--parts", "2", "--vars", "3",
+            "--n", "4", "--delta", "5", "--max-part", "6",
+        ])
+        assert (args.boxes, args.parts, args.vars, args.n, args.delta, args.max_part) == (
+            1, 2, 3, 4, 5, 6)
+
+    def test_sweep_bound_the_family_does_not_take_exits_2(self):
+        result = lorentz("sweep", "--family", "schubert", "--n", "3", "--boxes", "99")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: bound boxes=99 does not apply to family schubert\n"
 
     def test_paper_suite_passes(self):
         result = lorentz("paper-suite")
