@@ -29,17 +29,18 @@ B(r) = {y : y(X) <= r(X), y(V) = r(V)} in Z^m.  The integer points of
 B(r) are walked depth-first, one coordinate at a time, within the bounds
 that the projections of B(r) put on it, and the walk stops at the first
 point outside S.  Coordinates constant over S never move in an exchange,
-so they are dropped first; the rank test runs only when 2^m <= |S|, which
-keeps it within the O(|S|^2) of the pairwise scan.  The scan of the
-exchange axiom over all pairs runs only to find the lexicographically
-first witness once the answer is "no", or when the rank test is skipped.
-It works on bit masks: for each point x and index i it precomputes the
-set of j with x - e_i + e_j in S and the set of j with x + e_i - e_j in
-S, so (alpha, beta, i) violates the axiom exactly when the first set of
-alpha, the second set of beta and the set of j with alpha_j < beta_j
-have no common element.  Packing each point into one integer, a field
-per coordinate, gives the neighbours x +- e_j by one addition and the
-coordinate comparisons of a pair by one subtraction.
+so they are dropped first, for the rank test and the scan alike; the rank
+test runs only when 2^m <= |S|, which keeps it within the O(|S|^2) of the
+pairwise scan.  The scan of the exchange axiom over all pairs runs only
+to find the lexicographically first witness once the answer is "no", or
+when the rank test is skipped.  It works on bit masks: for each point x
+and index i it precomputes the set of j with x - e_i + e_j in S and the
+set of j with x + e_i - e_j in S, so (alpha, beta, i) violates the axiom
+exactly when the first set of alpha, the second set of beta and the set
+of j with alpha_j < beta_j have no common element.  Packing each point
+into one integer, a field per coordinate, gives the neighbours x +- e_j
+by one addition and the coordinate comparisons of a pair by one
+subtraction.
 
 Mixed partial derivatives commute, so derivative index sequences and
 multisets give identical quadratic forms; the certifier therefore
@@ -252,11 +253,22 @@ def m_convex_failure(points):
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise ValueError("mixed arity in support set")
-    # the exchange axiom never moves a coordinate constant over the set
-    varying = [col for col in zip(*pts) if min(col) != max(col)]
-    if varying and 2 ** len(varying) <= len(pts) and _rank_m_convex(list(zip(*varying))):
+    # The exchange axiom never moves a coordinate constant over the set, so
+    # both tests run on the others.  Dropping them keeps the sorted order of
+    # the points and the order of the remaining indices, hence the witness.
+    columns = list(zip(*pts))
+    moving = [k for k, col in enumerate(columns) if min(col) != max(col)]
+    reduced = pts
+    if len(moving) < len(columns):
+        reduced = list(zip(*[columns[k] for k in moving]))
+    if moving and 2 ** len(moving) <= len(pts) and _rank_m_convex(reduced):
         return None
-    return _exchange_scan(pts)
+    witness = _exchange_scan(reduced)
+    if witness is None or reduced is pts:
+        return witness
+    full = dict(zip(reduced, pts))
+    alpha, beta, index = witness
+    return (full[alpha], full[beta], moving[index - 1] + 1)
 
 
 def is_m_convex(points) -> bool:
@@ -325,8 +337,11 @@ def _inertia_int(rows) -> InertiaSignature:
 
     Overwrites ``rows``.  The live block is the set of rows and columns not
     yet eliminated; every step keeps its inertia, up to the counted pivot.
+    A zero row, with its zero column, is a zero eigenvalue that no step
+    changes, so the block starts without them.
     """
-    live = list(range(len(rows)))
+    live = [i for i, row in enumerate(rows) if any(row)]
+    zero_rows = len(rows) - len(live)
     positive = negative = 0
     while live:
         k = next((k for k in live if rows[k][k]), None)
@@ -368,7 +383,7 @@ def _inertia_int(rows) -> InertiaSignature:
                 row_i = rows[i]
                 for j in live:
                     row_i[j] //= g
-    return InertiaSignature(positive, negative, len(live))
+    return InertiaSignature(positive, negative, zero_rows + len(live))
 
 
 def inertia(matrix: SymmetricMatrix) -> InertiaSignature:

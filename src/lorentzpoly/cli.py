@@ -113,6 +113,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# A support whose varying coordinates m have 2^m > |S| skips the rank test
+# of M-convexity (``certify.m_convex_failure``), and its witness scan takes
+# time quadratic in |S|; certify refuses such a support above this size.
+MAX_SCAN_POINTS = 2000
+
+
+def _check_scan_size(poly: Polynomial):
+    size = len(poly.terms)
+    if size > MAX_SCAN_POINTS:
+        varying = sum(min(col) != max(col) for col in zip(*poly.terms))
+        if 2**varying > size:
+            raise UsageError(
+                f"support of {size} points in {varying} varying coordinates needs a "
+                f"pairwise exchange scan, limited to {MAX_SCAN_POINTS} points"
+            )
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -126,7 +143,9 @@ def _cmd_certify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    certificate = lorentzian_certify(parse_polynomial(text))
+    poly = parse_polynomial(text)
+    _check_scan_size(poly)
+    certificate = lorentzian_certify(poly)
     if args.out == "json":
         print(json.dumps(certificate.to_dict(), indent=2, sort_keys=True))
     else:

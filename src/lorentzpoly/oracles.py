@@ -20,10 +20,12 @@ with no symmetry reduction (versus one pass over the terms, one multiset
 per symmetry orbit), degree polynomials from Bruhat covers found by
 comparing lengths, summed upward through the interval one length at a
 time with ``Polynomial`` linear forms (versus covers read off the one-line
-entries and a memoized recursion down from w on int coefficients), and the
+entries and a memoized recursion down from w on int coefficients), the
 advisory log-concavity spot check, the exact
 inertia of the Hessian of log h at sample points (versus the Hessian
-certificate).
+certificate), and the polynomial text format by one anchored match per
+sign, coefficient and factor, each checked as it is read (versus one regex
+match per term over a body with its comments blanked).
 
 The main modules answer each question by one route and import nothing
 from here; this module, and ``univariate`` through it, serve the tests and
@@ -32,6 +34,7 @@ the benchmark's result checks.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from . import univariate
@@ -43,7 +46,16 @@ from .certify import (
     inertia,
     quadratic_form_matrix,
 )
-from .polynomials import Polynomial
+from .polynomials import (
+    MAX_PARSE_ARITY,
+    _MINUS_ONE,
+    _ONE,
+    _PIECES_RE,
+    Exponent,
+    Polynomial,
+    PolynomialSyntaxError,
+    _long_number,
+)
 from .schubert import Permutation
 from .symmetric import Partition, SkewShape, StrictPartition
 
@@ -376,6 +388,101 @@ def degree_polynomial_by_levels(w: Permutation) -> Polynomial:
                 total = total + form * sums[lower]
             sums[u] = total
     return sums[w]
+
+
+# -- the text format ------------------------------------------------------
+
+_GAP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments
+_GAP_RE = re.compile(_GAP)
+_SIGN_RE = re.compile(r"([+-])" + _GAP)
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?" + _GAP)
+_VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?" + _GAP)
+
+
+def parse_polynomial_by_pieces(text: str) -> Polynomial:
+    """``parse_polynomial`` by one anchored match per sign, coefficient and
+    factor, checking each piece as it is read."""
+    lines = text.split("\n")
+    arity = None
+    body_start = 0
+    for lineno, raw in enumerate(lines):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        match = re.fullmatch(r"vars:\s*([0-9]+)", stripped)
+        column = raw.index(stripped[0]) + 1
+        if not match:
+            raise PolynomialSyntaxError("expected header 'vars: n'", lineno + 1, column)
+        try:
+            arity = int(match.group(1))
+        except ValueError:
+            message, offset = _long_number(match)
+            raise PolynomialSyntaxError(message, lineno + 1, column + offset) from None
+        body_start = lineno + 1
+        break
+    if arity is None:
+        raise PolynomialSyntaxError("missing header 'vars: n'", len(lines), 1)
+    if arity < 1:
+        raise PolynomialSyntaxError("arity must be positive", body_start, 1)
+    if arity > MAX_PARSE_ARITY:
+        raise PolynomialSyntaxError(
+            f"arity {arity} exceeds the limit of {MAX_PARSE_ARITY}", body_start, 1
+        )
+    body = "\n".join(lines[body_start:])
+
+    def fail(message, pos):
+        # an unexpected character anywhere is reported before any grammar error
+        stop = _PIECES_RE.match(body).end()
+        if stop < end:
+            message, pos = f"unexpected character {body[stop]!r}", stop
+        line = body_start + 1 + body.count("\n", 0, pos)
+        raise PolynomialSyntaxError(message, line, pos - body.rfind("\n", 0, pos))
+
+    end = len(body)
+    pos = _GAP_RE.match(body).end()
+    if pos == end:
+        fail("empty polynomial body", 0)
+    terms: dict[Exponent, Fraction] = {}
+    while pos < end:
+        sign_at = pos
+        match = _SIGN_RE.match(body, pos)
+        if match:
+            pos = match.end()
+        elif terms:  # only the first term may omit its sign
+            fail("expected '+' or '-' between terms", pos)
+        negative = match is not None and match.group(1) == "-"
+        exponent = [0] * arity
+        term_at = pos
+        match = _RATIONAL_RE.match(body, pos)
+        if match:
+            try:
+                num = int(match.group(1))
+                den = int(match.group(2) or 1)
+            except ValueError:
+                fail(*_long_number(match))
+            if den == 0:
+                fail("zero denominator", pos)
+            coeff = Fraction(-num if negative else num, den)
+            pos = match.end()
+        else:
+            coeff = _MINUS_ONE if negative else _ONE
+        while match := _VAR_RE.match(body, pos):
+            try:
+                vindex = int(match.group(1))
+                power = int(match.group(2) or 1)
+            except ValueError:
+                fail(*_long_number(match))
+            if not 1 <= vindex <= arity:
+                fail(f"variable x{vindex} out of range for vars: {arity}", pos)
+            exponent[vindex - 1] += power
+            pos = match.end()
+        if pos == term_at:  # a sign that ends the body is reported at the sign
+            fail("expected a term", term_at if term_at < end else sign_at)
+        key = tuple(exponent)
+        previous = terms.get(key)
+        terms[key] = coeff if previous is None else previous + coeff
+    # the exponents are built here, so only zero sums need dropping
+    return Polynomial._raw(arity, {e: c for e, c in terms.items() if c})
 
 
 # -- the exchange axiom -----------------------------------------------------

@@ -8,8 +8,10 @@ exact; nothing in this module touches floating point.
 The constructor builds one Fraction per term: a coefficient that already
 is one is kept as it is, and coefficients are added only where an
 exponent repeats.  Exponents must be sequences of nonnegative ints.  The
-parser reads sign, numerator and denominator of each term as ints and
-likewise makes one Fraction per term.
+parser blanks comments to spaces of the same length, reads the whole body
+with one regex match per term (sign, numerator, denominator and the run of
+factors), and likewise makes one Fraction per term.  Only a malformed text
+is read again, term by term, to name its first error with line and column.
 
 The module also provides the normalization operator ``normalize`` sending
 each monomial x^mu to x^mu / mu! (componentwise factorials), and the
@@ -352,15 +354,32 @@ def normalize(poly: Polynomial) -> Polynomial:
 # printing orders terms by descending total degree, ties broken by
 # descending exponent tuple (graded lexicographic), with coefficients in
 # lowest terms.
+#
+# The header is one anchored match.  The body is read by one findall of
+# _TERM_RE, one match per term, once its comments are blanked to spaces of
+# the same length, which keeps every offset.  Every piece after the leading
+# whitespace is optional, so the greedy first attempt always succeeds, and
+# each match ends after the whitespace that follows it.  A character that
+# no piece can start gives an empty match, and so does the end of the body.
 
-_GAP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments
+_TERM_RE = re.compile(
+    r"\s*(?:([+-])\s*)?(?:([0-9]+)(?:/([0-9]+))?\s*)?((?:x[0-9]+(?:\^[0-9]+)?\s*)*)"
+)
+# \s also matches these separators, which int() does not skip; they are
+# blanked with the comments
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_BLANKED_RE = re.compile(r"#[^\n]*|[" + _SEPARATORS + "]+")
 # A well-formed body is a run of these pieces; where one match of the run
 # stops is the first unexpected character.
 _PIECES_RE = re.compile(r"(?:\s+|#[^\n]*|[+-]|x[0-9]+(?:\^[0-9]+)?|[0-9]+(?:/[0-9]+)?)*")
-_GAP_RE = re.compile(_GAP)
-_SIGN_RE = re.compile(r"([+-])" + _GAP)
-_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?" + _GAP)
-_VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?" + _GAP)
+_FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
+# Blank and comment lines, then the header line; [^\S\n] is whitespace
+# that does not end the line.
+_BLANK_LINES = r"(?:[^\S\n]*(?:#[^\n]*)?\n)*"
+_BLANK_LINES_RE = re.compile(_BLANK_LINES + r"[^\S\n]*")
+_HEADER_RE = re.compile(
+    _BLANK_LINES + r"[^\S\n]*vars:[^\S\n]*([0-9]+)[^\S\n]*(?:#[^\n]*)?(?:\n|\Z)"
+)
 
 # Exponent vectors are dense, so the header's arity is capped; no family
 # goes past 9 variables.
@@ -379,89 +398,112 @@ def _long_number(match):
     return f"number with more than {limit} digits", offset
 
 
+def _blank(match) -> str:
+    return " " * len(match.group())
+
+
+def _read_terms(matches, arity: int):
+    """The terms of a body from ``_TERM_RE.findall``, less its final empty
+    match, or None if the body is malformed anywhere."""
+    terms: dict[Exponent, Fraction] = {}
+    try:
+        for sign, num, den, factors in matches:
+            if not (num or factors) or not sign and terms:
+                return None  # no term, or no sign before a term but the first
+            if num:
+                num = int(num)
+                den = int(den) if den else 1
+                if not den:
+                    return None
+                coeff = Fraction(-num if sign == "-" else num, den)
+            else:
+                coeff = _MINUS_ONE if sign == "-" else _ONE
+            exponent = [0] * arity
+            # "x1^2 x3 " splits into "", "1^2 ", "3 "; int() skips the spaces
+            for factor in factors.split("x")[1:]:
+                index, _, power = factor.partition("^")
+                index = int(index)
+                if not 0 < index <= arity:
+                    return None
+                exponent[index - 1] += int(power) if power else 1
+            key = tuple(exponent)
+            previous = terms.get(key)
+            terms[key] = coeff if previous is None else previous + coeff
+    except ValueError:  # a number past int()'s digit limit
+        return None
+    return terms or None
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the text format (header line ``vars: n`` followed by one polynomial)."""
-    lines = text.split("\n")
-    arity = None
-    body_start = 0
-    for lineno, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        match = re.fullmatch(r"vars:\s*([0-9]+)", stripped)
-        column = raw.index(stripped[0]) + 1
-        if not match:
-            raise PolynomialSyntaxError("expected header 'vars: n'", lineno + 1, column)
-        try:
-            arity = int(match.group(1))
-        except ValueError:
-            message, offset = _long_number(match)
-            raise PolynomialSyntaxError(message, lineno + 1, column + offset) from None
-        body_start = lineno + 1
-        break
-    if arity is None:
-        raise PolynomialSyntaxError("missing header 'vars: n'", len(lines), 1)
+    header = _HEADER_RE.match(text)
+    if header is None:
+        start = _BLANK_LINES_RE.match(text).end()
+        if start == len(text) or text[start] == "#":
+            raise PolynomialSyntaxError("missing header 'vars: n'", text.count("\n") + 1, 1)
+        line_start = text.rfind("\n", 0, start) + 1
+        raise PolynomialSyntaxError(
+            "expected header 'vars: n'", text.count("\n", 0, start) + 1, start - line_start + 1
+        )
+    digits_at = header.start(1)
+    header_line = text.count("\n", 0, digits_at) + 1
+    try:
+        arity = int(header.group(1))
+    except ValueError:
+        message, _ = _long_number(header)
+        column = digits_at - text.rfind("\n", 0, digits_at)
+        raise PolynomialSyntaxError(message, header_line, column) from None
     if arity < 1:
-        raise PolynomialSyntaxError("arity must be positive", body_start, 1)
+        raise PolynomialSyntaxError("arity must be positive", header_line, 1)
     if arity > MAX_PARSE_ARITY:
         raise PolynomialSyntaxError(
-            f"arity {arity} exceeds the limit of {MAX_PARSE_ARITY}", body_start, 1
+            f"arity {arity} exceeds the limit of {MAX_PARSE_ARITY}", header_line, 1
         )
-    body = "\n".join(lines[body_start:])
+    body = text[header.end():]
+    blanked = body
+    if "#" in body or any(c in body for c in _SEPARATORS):
+        blanked = _BLANKED_RE.sub(_blank, body)
+    matches = _TERM_RE.findall(blanked)
+    matches.pop()  # the empty match at the end of the body; any other is an error
+    terms = _read_terms(matches, arity)
+    if terms is not None:
+        # the exponents are built here, so only zero sums need dropping
+        return Polynomial._raw(arity, {e: c for e, c in terms.items() if c})
 
     def fail(message, pos):
-        # an unexpected character anywhere is reported before any grammar error
-        stop = _PIECES_RE.match(body).end()
-        if stop < end:
-            message, pos = f"unexpected character {body[stop]!r}", stop
-        line = body_start + 1 + body.count("\n", 0, pos)
+        line = header_line + 1 + body.count("\n", 0, pos)
         raise PolynomialSyntaxError(message, line, pos - body.rfind("\n", 0, pos))
 
-    end = len(body)
-    pos = _GAP_RE.match(body).end()
-    if pos == end:
-        fail("empty polynomial body", 0)
-    terms: dict[Exponent, Fraction] = {}
-    while pos < end:
-        sign_at = pos
-        match = _SIGN_RE.match(body, pos)
-        if match:
-            pos = match.end()
-        elif terms:  # only the first term may omit its sign
-            fail("expected '+' or '-' between terms", pos)
-        negative = match is not None and match.group(1) == "-"
-        exponent = [0] * arity
-        term_at = pos
-        match = _RATIONAL_RE.match(body, pos)
-        if match:
+    # The body is malformed.  An unexpected character anywhere is reported
+    # first; otherwise the first grammar error, term by term.
+    stop = _PIECES_RE.match(body).end()
+    if stop < len(body):
+        fail(f"unexpected character {body[stop]!r}", stop)
+    for k, match in enumerate(_TERM_RE.finditer(blanked)):
+        sign, num, den, factors = match.groups()
+        if not (sign or num or factors):  # the end, with no term before it
+            fail("empty polynomial body", 0)
+        if k and not sign:
+            fail("expected '+' or '-' between terms", match.start())
+        if num:
             try:
-                num = int(match.group(1))
-                den = int(match.group(2) or 1)
+                int(num)
+                den = int(den or 1)
             except ValueError:
                 fail(*_long_number(match))
-            if den == 0:
-                fail("zero denominator", pos)
-            coeff = Fraction(-num if negative else num, den)
-            pos = match.end()
-        else:
-            coeff = _MINUS_ONE if negative else _ONE
-        while match := _VAR_RE.match(body, pos):
+            if not den:
+                fail("zero denominator", match.start(2))
+        for factor in _FACTOR_RE.finditer(blanked, match.start(4), match.end(4)):
             try:
-                vindex = int(match.group(1))
-                power = int(match.group(2) or 1)
+                index = int(factor.group(1))
+                int(factor.group(2) or 1)
             except ValueError:
-                fail(*_long_number(match))
-            if not 1 <= vindex <= arity:
-                fail(f"variable x{vindex} out of range for vars: {arity}", pos)
-            exponent[vindex - 1] += power
-            pos = match.end()
-        if pos == term_at:  # a sign that ends the body is reported at the sign
-            fail("expected a term", term_at if term_at < end else sign_at)
-        key = tuple(exponent)
-        previous = terms.get(key)
-        terms[key] = coeff if previous is None else previous + coeff
-    # the exponents are built here, so only zero sums need dropping
-    return Polynomial._raw(arity, {e: c for e, c in terms.items() if c})
+                fail(*_long_number(factor))
+            if not 0 < index <= arity:
+                fail(f"variable x{index} out of range for vars: {arity}", factor.start())
+        if not (num or factors):  # a sign that ends the body is reported at the sign
+            term_at = match.start(4)
+            fail("expected a term", term_at if term_at < len(body) else match.start(1))
 
 
 def _term_order_key(exponent: Exponent):

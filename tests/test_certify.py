@@ -442,6 +442,31 @@ def test_inertia_matches_char_poly_and_sturm(m):
 
 
 @st.composite
+def matrices_with_zero_rows(draw):
+    """Integer symmetric matrices, dense or sparse, with one to four zero
+    rows and columns inserted at random positions."""
+    n = draw(st.integers(0, 6))
+    entries = st.integers(-6, 6) | st.just(0)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(rows)))
+        for row in rows:
+            row.insert(at, 0)
+        rows.insert(at, [0] * (len(rows) + 1))
+    return SymmetricMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices_with_zero_rows())
+def test_zero_rows_count_as_zero_eigenvalues(m):
+    """Elimination starts without the zero rows and counts them as zeros."""
+    assert inertia(m) == inertia_by_char_poly(m)
+
+
+@st.composite
 def polynomials_for_scan(draw):
     """Arity 1-4, homogeneous or not, with rational and negative coefficients."""
     arity = draw(st.integers(1, 4))
@@ -611,10 +636,12 @@ def test_hot_paths_use_the_integer_kernels():
     )
     assert "_signature_from_char_coeffs" not in production
     assert "coefficient" not in names["certify.py", "root_direction_violations"]
-    # Faddeev-LeVerrier and the per-point root check are defined and named
-    # in oracles.py alone, not in another module or a demo
+    # Faddeev-LeVerrier, the per-point root check and the piece-by-piece
+    # parser are defined and named in oracles.py alone, not in another
+    # module or a demo
     second_routes = re.compile(
-        r"\b(_char_poly_int|characteristic_polynomial|discrete_root_log_concavity)\b"
+        r"\b(_char_poly_int|characteristic_polynomial|discrete_root_log_concavity"
+        r"|parse_polynomial_by_pieces)\b"
     )
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
     for path in [*package.glob("*.py"), *demos.glob("*.py")]:

@@ -131,6 +131,27 @@ def test_bitmask_scan_names_the_oracle_witness(points):
     assert certify._exchange_scan(pts) == exchange_scan_by_pairs(pts, set(points))
 
 
+@st.composite
+def with_constant_coordinates(draw):
+    """Sets of the shapes above with one to three coordinates, constant over
+    the set, inserted at random positions."""
+    points = draw(st.one_of(
+        linear_form_products(), edited_products(), mixed_sum_sets(), rank_test_skipped()
+    ))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(next(iter(points)))))
+        value = draw(st.integers(0, 3))
+        points = {p[:at] + (value,) + p[at:] for p in points}
+    return points
+
+
+@GENERATED
+@given(with_constant_coordinates())
+def test_constant_coordinates_keep_the_witness(points):
+    """The tests run on the varying coordinates; the witness maps back."""
+    assert m_convex_failure(points) == scan(points)
+
+
 @pytest.mark.parametrize("points", [
     [(0, 2, 1), (0, 3, 0), (1, 1, 1), (1, 2, 0), (2, 0, 1), (3, 0, 0)],
     [(0, 1, 2), (1, 0, 2), (1, 1, 1), (2, 1, 0), (3, 0, 0)],

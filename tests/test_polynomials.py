@@ -1,3 +1,4 @@
+import pathlib
 import random
 import re
 import sys
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from lorentzpoly import corpus
+from lorentzpoly.oracles import parse_polynomial_by_pieces
 from lorentzpoly.polynomials import (
     MAX_PARSE_ARITY,
     Polynomial,
@@ -413,3 +416,93 @@ def test_parse_inverts_format_across_gaps(p, data):
     for token in tokens:
         text += data.draw(GAPS) + token
     assert parse_polynomial(text + data.draw(GAPS)) == p
+
+
+# -- the one-match-per-term parser against the piece-by-piece oracle ---------
+
+SOUP_LIMIT = 640  # the least digit limit sys.set_int_max_str_digits takes
+LONG = "9" * (SOUP_LIMIT + 1)
+# mostly good headers, then each way a header can be wrong
+SOUP_HEADERS = st.sampled_from([
+    *["vars: 3\n"] * 12, "vars:3\n", "  vars:\t3  # arity\n", "# c\n\n vars: 3\n",
+    "vars: 3\u2003\n", "vars: 3\x1c\n", "vars: 3",
+    "vars 3\n", "vars: 0\n", "vars: 1001\n", "vars: \u0663\n", f"vars: {LONG}\n",
+    "vars: 3 x1\n", "", "# only a comment", "\n \n",
+])
+SOUP_GAPS = st.sampled_from(
+    ["", " ", " ", "\t", "\n", "\u00a0", "\x1c", "\x1f", "\r", " # c x9 @\n"]
+)
+SOUP_SIGNS = st.sampled_from([*["+", "-"] * 3, ""])
+SOUP_COEFFICIENTS = st.sampled_from(
+    [*[""] * 6, *["3", "07", "12/5"] * 2, "0", "3/0", LONG, f"5/{LONG}"]
+)
+SOUP_FACTORS = st.sampled_from(
+    [*["x1", "x2", "x3", "x1^2", "x3^0"] * 4, "x0", "x4", "x12", f"x{LONG}", f"x2^{LONG}"]
+)
+SOUP_ODD = st.sampled_from(
+    ["@", "x", "^", "/", "2/", "x1^", "+", "-", "3", "#", "\u0663", "x\u0661"]
+)
+
+
+@st.composite
+def token_soups(draw):
+    """A header, then signed terms with gaps after the tokens, and in half
+    of the texts up to two odd tokens at random places."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 5))):
+        tokens += [draw(SOUP_SIGNS), draw(SOUP_COEFFICIENTS)]
+        tokens += draw(st.lists(SOUP_FACTORS, max_size=3))
+    for odd in draw(st.lists(SOUP_ODD, max_size=2)) if draw(st.booleans()) else ():
+        tokens.insert(draw(st.integers(0, len(tokens))), odd)
+    return draw(SOUP_HEADERS) + "".join(token + draw(SOUP_GAPS) for token in tokens)
+
+
+def parse_outcome(parse, text):
+    try:
+        p = parse(text)
+    except PolynomialSyntaxError as err:
+        return str(err), err.line, err.column
+    # insertion order and the type of each coefficient are compared too
+    return p.arity, [(e, type(c), c) for e, c in p.terms.items()]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(token_soups())
+def test_parse_matches_piece_by_piece_oracle(text):
+    """Random token soups give the same polynomial, or the same error at
+    the same line and column, both ways."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(SOUP_LIMIT)
+    try:
+        assert parse_outcome(parse_polynomial, text) == parse_outcome(
+            parse_polynomial_by_pieces, text
+        )
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("vars: 2\nx1@", "unexpected character '@'", 2, 3),
+    ("vars: 2\nx1 + x2 @@", "unexpected character '@'", 2, 9),
+    ("vars: 2\nx1^2 x2\n/", "unexpected character '/'", 3, 1),
+    ("vars: 2\nx1 x2^", "unexpected character '^'", 2, 6),
+])
+def test_bad_character_at_the_end_of_the_body(text, message, line, column):
+    """A bad last character also leaves an empty match before the one at
+    the end of the body; only the latter may be dropped."""
+    for parse in (parse_polynomial, parse_polynomial_by_pieces):
+        assert parse_outcome(parse, text) == (
+            f"{message} (line {line}, column {column})", line, column
+        )
+
+
+GOLDEN_GEN = sorted((pathlib.Path(__file__).parent / "golden").glob("gen-*.txt"))
+
+
+@pytest.mark.parametrize("text", [
+    *(corpus._read_text(name) for name in corpus.names()),
+    *(path.read_text(encoding="utf-8") for path in GOLDEN_GEN),
+], ids=[*corpus.names(), *(path.name for path in GOLDEN_GEN)])
+def test_bundled_texts_parse_the_same_both_ways(text):
+    assert parse_polynomial(text)
+    assert parse_outcome(parse_polynomial, text) == parse_outcome(parse_polynomial_by_pieces, text)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from lorentzpoly import corpus, sweeps
-from lorentzpoly.cli import _generate, build_parser, main
+from lorentzpoly.cli import MAX_SCAN_POINTS, _generate, build_parser, main
 from lorentzpoly.oracles import schur_p_by_marked_tableaux, skew_schur_by_tableaux
 from lorentzpoly.polynomials import MAX_PARSE_ARITY, format_polynomial, parse_polynomial
 from lorentzpoly.sweeps import (
@@ -33,6 +33,14 @@ def lorentz(*args, stdin=None):
         text=True,
     )
     return result
+
+
+def square_free_quadratic(points):
+    """The first ``points`` terms x_i x_j (i < j) of e_2 in 64 variables, in
+    lexicographic order of (i, j): all 64 coordinates vary, so the rank test
+    of M-convexity is skipped and the support needs the pairwise scan."""
+    pairs = [(i, j) for i in range(1, 65) for j in range(i + 1, 65)][:points]
+    return "vars: 64\n" + " + ".join(f"x{i} x{j}" for i, j in pairs) + "\n"
 
 
 class TestEnumeration:
@@ -220,6 +228,23 @@ class TestCli:
         assert result.stderr == (
             "error: arity 1000000000000 exceeds the limit of 1000 (line 1, column 1)\n"
         )
+
+    def test_certify_refuses_a_pairwise_scan_over_the_limit(self):
+        assert MAX_SCAN_POINTS == 2000
+        result = lorentz("certify", "-", stdin=square_free_quadratic(MAX_SCAN_POINTS + 1))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: support of 2001 points in 64 varying coordinates needs a pairwise "
+            "exchange scan, limited to 2000 points\n"
+        )
+
+    def test_certify_runs_a_pairwise_scan_at_the_limit(self):
+        # the last 16 pairs are missing, so the scan stops at a witness
+        text = square_free_quadratic(MAX_SCAN_POINTS)
+        result = lorentz("certify", "-", "--out", "json", stdin=text)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["failure"]["kind"] == "support_not_m_convex"
 
     def test_certify_json_schema(self):
         raw = lorentz("gen", "--family", "schubert", "--w", "1423")
