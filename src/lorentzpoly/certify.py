@@ -77,6 +77,17 @@ the vectors (at the first coordinate where two differ, the larger count
 gives the smaller tuple), so the matrices are checked in the order of
 ``sorted(hessians, reverse=True)`` and the index tuple is built only for
 the witness.
+
+A normalized polynomial N(p) = sum c_mu x^mu / mu! is certified on
+integers, without being built.  For p homogeneous of degree d,
+d! N(p) = sum c_mu (d! / mu!) x^mu, and each multinomial d! / mu! is an
+integer, so with the scale L that clears the denominators of p the terms
+of L d! N(p) are integers.  Multiplying every term by one positive number
+keeps each sign and the support, maps equal coefficients to equal ones, so
+the tied pairs stay, and multiplies each Hessian by that number, which
+keeps every inertia; a positive multiple of a Lorentzian polynomial is
+Lorentzian (Branden-Huh, Lorentzian polynomials, 2020).  The certificate
+of N(p), witness included, is therefore read off these integers.
 """
 
 import itertools
@@ -518,12 +529,35 @@ def _multiset_indices(alpha) -> tuple:
     return tuple(out)
 
 
-def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
+def _certified_coefficients(poly: Polynomial, degree, normalize: bool) -> dict:
+    """The exponent -> int map the certifier reads: ``_scaled_coefficients``,
+    times the multinomial d!/mu! at each mu when ``normalize`` is set.
+
+    Every exponent of ``poly`` sums to at most ``degree``, so d!/mu! is an
+    integer, and the map is L d! N(poly), with L the least positive integer
+    that clears the denominators of ``poly``.
+    """
+    coeffs = _scaled_coefficients(poly)
+    if not normalize or not coeffs:
+        return coeffs
+    factorials = [1] * (degree + 1)
+    for k in range(2, degree + 1):
+        factorials[k] = factorials[k - 1] * k
+    top = factorials[degree]
+    return {
+        e: c * (top // math.prod(map(factorials.__getitem__, e)))
+        for e, c in coeffs.items()
+    }
+
+
+def lorentzian_certify(poly: Polynomial, *, normalize: bool = False) -> LorentzCertificate:
     """Decide the Lorentzian property with a re-checkable witness on failure.
 
     Checks run in order: homogeneity, coefficient signs, M-convexity of the
     support, then the spectrum of every order-(d-2) derivative quadratic
     form.  The first failing multiset in lexicographic order is reported.
+    With ``normalize`` set, the certificate is that of ``normalize(poly)``,
+    read off the integer terms d! N(poly) without building N(poly).
     """
     checks = []
     degrees = sorted({sum(e) for e in poly.terms})
@@ -533,8 +567,9 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
         )
     checks.append(CHECK_HOMOGENEOUS)
     degree = degrees[0] if degrees else None
+    coeffs = _certified_coefficients(poly, degree, normalize)
 
-    negative = [exponent for exponent, coeff in poly.terms.items() if coeff < 0]
+    negative = [exponent for exponent, coeff in coeffs.items() if coeff < 0]
     if negative:
         return _failure_certificate(
             poly, degree, checks, NegativeCoefficient(min(negative))
@@ -550,7 +585,6 @@ def lorentzian_certify(poly: Polynomial) -> LorentzCertificate:
 
     if degree is not None and degree >= 2:
         n = poly.arity
-        coeffs = _scaled_coefficients(poly)
         tied = _tied_pairs(coeffs, n)
         hessians = {}
         scratch = [[0] * n for _ in range(n)]  # the matrix of every non-canonical alpha

@@ -12,6 +12,7 @@ parse errors.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -157,11 +158,22 @@ def _cmd_certify(args) -> int:
     return 0 if certificate.is_lorentzian else MATH_FAILURE
 
 
+def _sweep_jobs(jobs: int) -> int:
+    """The worker count of ``--jobs``: 0 means every core, and a count
+    below 0 or above the number of cores is refused."""
+    cores = os.cpu_count() or 1
+    if jobs == 0:
+        return cores
+    if not 1 <= jobs <= cores:
+        raise ValueError(f"--jobs {jobs} outside 0..{cores} (0 uses every core)")
+    return jobs
+
+
 def _cmd_sweep(args) -> int:
     fields = dataclasses.fields(SweepBounds)
     bounds = SweepBounds(**{f.name: getattr(args, f.name) for f in fields})
     spec = SweepSpec(args.family, args.mode, bounds)
-    report = run_sweep(spec, jobs=args.jobs, only=args.only)
+    report = run_sweep(spec, jobs=_sweep_jobs(args.jobs), only=args.only)
     if args.out == "json":
         print(report.to_json())
     else:
@@ -341,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) == 0:
-        import os
-
-        args.jobs = os.cpu_count() or 1
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

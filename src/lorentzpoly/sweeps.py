@@ -9,8 +9,9 @@ A sweep names a polynomial family, a mode, and size bounds.  Modes:
                       direction e_i - e_j through the raw coefficients.
 
 Each family is one ``Family`` record in ``FAMILY_TABLE``.  Bounds are
-capped (n <= 8, boxes <= 14) so every sweep terminates at desk scale.  Reports are deterministic apart from the wall-time field; each
-failure carries a self-contained reproduction command.
+capped (n <= 8, boxes <= 14) so every sweep terminates at desk scale.
+Reports are deterministic apart from the wall-time field; each failure
+carries a self-contained reproduction command.
 """
 
 import itertools
@@ -26,7 +27,6 @@ from .certify import (
     m_convex_failure,
     root_direction_violations,
 )
-from .polynomials import normalize
 from .schubert import (
     Permutation,
     all_permutations,
@@ -228,19 +228,18 @@ def _verma_instances(nvars, delta_cap):
             yield f"delta={_fmt(delta)}", (delta,)
 
 
-def _normalized(payload, raw):
-    return [("normalized", normalize(raw))]
+def _whole(payload, raw):
+    """The raw polynomial, which the certifier normalizes."""
+    return [("normalized", raw)]
 
 
 def _signed_components(payload, raw):
-    """The normalized homogeneous components of a Grothendieck polynomial,
-    component k = 0, 1, ... above degree l(w) multiplied by (-1)^k."""
+    """The homogeneous components of a Grothendieck polynomial, component
+    k = 0, 1, ... above degree l(w) multiplied by (-1)^k."""
     ell = Permutation(payload[0]).length()
     top = raw.total_degree() if raw else ell
-    return [
-        (f"component k={k}", normalize(raw.homogeneous_component(ell + k)) * ((-1) ** k))
-        for k in range(0, top - ell + 1)
-    ]
+    components = [raw.homogeneous_component(ell + k) for k in range(top - ell + 1)]
+    return [(f"component k={k}", -c if k % 2 else c) for k, c in enumerate(components)]
 
 
 # Memo tables of the divided-difference recursions and the branching rules,
@@ -258,21 +257,25 @@ class Family:
     pairs.  ``gen_flags`` are the ``lorentz gen`` flags whose values, in
     order, form a payload.  ``generate`` maps a payload to the raw
     polynomial and ``targets(payload, raw)`` gives the (label, polynomial)
-    pairs the certify mode must pass.  Generators name the functions they
-    call at call time, so wrapping a module attribute reaches them.
+    pairs the certify mode must pass.  When ``normalize`` is set, the
+    targets are given before normalization and the certifier decides
+    their normalizations; otherwise they are certified as they are.
+    Generators name the functions they call at call time, so wrapping a
+    module attribute reaches them.
     """
 
     bounds: tuple
     instances: Callable
     gen_flags: tuple
     generate: Callable
-    targets: Callable = _normalized
+    targets: Callable = _whole
+    normalize: bool = True
 
 
 _PARTITION_BOUNDS = (("boxes", 0, CAP_BOXES), ("parts", 0, CAP_BOXES), ("vars", 1, CAP_VARS))
 _PERMUTATION_BOUNDS = (("n", 1, CAP_N),)
 
-# Family(bounds, instances, gen_flags, generate[, targets]) per family.
+# Family(bounds, instances, gen_flags, generate[, targets, normalize]) per family.
 FAMILY_TABLE = {
     "schur": Family(
         _PARTITION_BOUNDS,
@@ -299,6 +302,7 @@ FAMILY_TABLE = {
         _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
         lambda p: schubert_dual(Permutation(p[0]), _CACHES["schubert"]),
         lambda payload, raw: [("dual", raw)],
+        normalize=False,
     ),
     "grothendieck": Family(
         _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
@@ -317,11 +321,13 @@ FAMILY_TABLE = {
         _PERMUTATION_BOUNDS, _permutation_instances, ("w",),
         lambda p: degree_polynomial(Permutation(p[0])),
         lambda payload, raw: [("raw", raw)],
+        normalize=False,
     ),
     "verma": Family(
         (("vars", 1, CAP_VARS), ("delta", 0, CAP_DELTA)), _verma_instances, ("delta",),
         lambda p: verma_truncated_normalized(p[0]),
         lambda payload, raw: [("raw", raw)],
+        normalize=False,
     ),
 }
 FAMILIES = tuple(FAMILY_TABLE)
@@ -355,7 +361,7 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
     raw = family.generate(payload)
     if spec.mode == "certify":
         for label, target in family.targets(payload, raw):
-            certificate = lorentzian_certify(target)
+            certificate = lorentzian_certify(target, normalize=family.normalize)
             if not certificate.is_lorentzian:
                 return {
                     "instance": instance_id,
@@ -437,7 +443,8 @@ def _run_sweep(spec: SweepSpec, jobs: int, only: Optional[str]) -> SweepReport:
     if not instances:
         raise ValueError(f"--only {only!r} matches no instance of this sweep")
     failures = []
-    if jobs <= 1:
+    workers = min(jobs, len(instances))
+    if workers <= 1:
         for instance_id, payload in instances:
             failure = _guarded_check(spec, instance_id, payload)
             if failure is not None:
@@ -446,7 +453,7 @@ def _run_sweep(spec: SweepSpec, jobs: int, only: Optional[str]) -> SweepReport:
         import multiprocessing
 
         tasks = [(spec, instance_id, payload) for instance_id, payload in instances]
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             for failure in pool.imap_unordered(_worker, tasks, chunksize=8):
                 if failure is not None:
                     failures.append(failure)

@@ -378,9 +378,10 @@ def verma_truncated_normalized(delta) -> Polynomial:
     Expands the product over pairs i > j of 1 + x_i/x_j + (x_i/x_j)^2 + ...
     with each geometric factor truncated at exponent sum(delta), multiplies
     by x^delta, keeps the part with nonnegative exponents and normalizes
-    it.  No root enters a nonnegative term more than sum(delta) times, so
-    nothing is lost to the truncation.  The result is homogeneous of
-    degree sum(delta).
+    it.  The product is expanded on int counts, which become Fractions
+    once, in the final polynomial.  No root enters a nonnegative term more
+    than sum(delta) times, so nothing is lost to the truncation.  The
+    result is homogeneous of degree sum(delta).
     """
     delta = tuple(int(x) for x in delta)
     if any(x < 0 for x in delta):
@@ -400,10 +401,10 @@ def verma_truncated_normalized(delta) -> Polynomial:
         raises_left[t] = list(raises_left[t + 1])
         raises_left[t][factors[t][1]] += 1
 
-    current: dict[tuple, Fraction] = {(0,) * m: Fraction(1)}
+    current: dict[tuple, int] = {(0,) * m: 1}
     for t, (j, i) in enumerate(factors):
         # factor for the pair (i > j): sum_k x_i^k x_j^-k, 0 <= k <= cap
-        nxt: dict[tuple, Fraction] = {}
+        nxt: dict[tuple, int] = {}
         for exponent, coeff in current.items():
             for k in range(cap + 1):
                 e = list(exponent)
@@ -415,7 +416,7 @@ def verma_truncated_normalized(delta) -> Polynomial:
                 if not viable:
                     continue
                 key = tuple(e)
-                nxt[key] = nxt.get(key, Fraction(0)) + coeff
+                nxt[key] = nxt.get(key, 0) + coeff
         current = nxt
 
     shifted = {tuple(e + d for e, d in zip(exponent, delta)): coeff

@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import math
 import pathlib
 import random
 import re
@@ -16,7 +17,9 @@ from lorentzpoly.certify import (
     InertiaSignature,
     NegativeCoefficient,
     SymmetricMatrix,
+    _certified_coefficients,
     _multiset_indices,
+    _scaled_coefficients,
     bivariate_ulc,
     inertia,
     is_m_convex,
@@ -491,6 +494,128 @@ def test_root_direction_violations_match_lookup(h):
     assert root_direction_violations(h) == root_direction_violations_by_lookup(h)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(polynomials_for_scan())
+def test_normalized_map_is_a_positive_multiple(h):
+    # d!/mu! is an integer whenever |mu| <= d, so the map is L d! N(h) with
+    # L the scale of h, homogeneous or not
+    degree = max((sum(e) for e in h.terms), default=0)
+    got = _certified_coefficients(h, degree, normalize=True)
+    scaled = _scaled_coefficients(h)
+    assert all(type(c) is int for c in got.values())
+    assert got == {e: c * math.factorial(degree) // math.prod(map(math.factorial, e))
+                   for e, c in scaled.items()}
+    want = _scaled_coefficients(normalize(h))
+    assert got.keys() == want.keys()
+    ratios = {Fraction(got[e], want[e]) for e in want}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def _denormalized(h):
+    """The p with normalize(p) == h: each term times mu!."""
+    return Polynomial(h.arity, {
+        e: c * math.prod(map(math.factorial, e)) for e, c in h.terms.items()
+    })
+
+
+@st.composite
+def homogeneous_supports(draw, arity, degree, min_size=1):
+    picks = st.lists(st.integers(0, arity - 1), min_size=degree, max_size=degree)
+    exponents = picks.map(lambda p: tuple(p.count(k) for k in range(arity)))
+    return draw(st.sets(exponents, min_size=min_size, max_size=10))
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 9), max_value=30, max_denominator=9)
+
+
+@st.composite
+def with_negative_coefficient(draw):
+    arity, degree = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    support = sorted(draw(homogeneous_supports(arity, degree)))
+    terms = {e: draw(positive_rationals) for e in support}
+    for e in draw(st.sets(st.sampled_from(support), min_size=1)):
+        terms[e] = -terms[e]
+    return Polynomial(arity, terms)
+
+
+@st.composite
+def with_mixed_degrees(draw):
+    arity = draw(st.integers(1, 4))
+    low, high = sorted(draw(st.sets(st.integers(0, 4), min_size=2, max_size=2)))
+    terms = {}
+    for degree in (low, high):
+        for e in draw(homogeneous_supports(arity, degree)):
+            terms[e] = draw(st.one_of(positive_rationals, positive_rationals.map(lambda c: -c)))
+    return Polynomial(arity, terms)
+
+
+@st.composite
+def with_support_gap(draw):
+    """d x1^d-type corners e_1 d and e_2 d with no (d-1) e_1 + e_2: the
+    exchange (alpha, beta, 1) from d e_1 to d e_2 fails."""
+    arity, degree = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    corner_1 = (degree,) + (0,) * (arity - 1)
+    corner_2 = (0, degree) + (0,) * (arity - 2)
+    next_to_1 = (degree - 1, 1) + (0,) * (arity - 2)
+    support = draw(homogeneous_supports(arity, degree, min_size=0))
+    support = (support | {corner_1, corner_2}) - {next_to_1}
+    return Polynomial(arity, {e: draw(positive_rationals) for e in support})
+
+
+@st.composite
+def with_hessian_failure(draw):
+    """p = sum c_k x1^k x2^(d-k) with c_k > 0 and c_k^2 < c_(k-1) c_(k+1) at
+    some k, in 2-4 variables: N(p) is Lorentzian exactly when the c_k are
+    log-concave, so some Hessian of N(p) fails."""
+    arity, degree = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    seq = draw(st.lists(positive_rationals, min_size=degree + 1, max_size=degree + 1))
+    k = draw(st.integers(1, degree - 1))
+    seq[k] = min(seq[k], seq[k - 1], seq[k + 1]) / 2
+    zeros = (0,) * (arity - 2)
+    return Polynomial(arity, {(t, degree - t) + zeros: c for t, c in enumerate(seq)})
+
+
+@st.composite
+def denormalized_products(draw):
+    """N^-1 of a product of nonnegative linear forms: N(p) is stable, hence
+    Lorentzian."""
+    n = draw(st.integers(2, 4))
+    h = Polynomial.constant(n, 1)
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        h = h * Polynomial(n, {
+            tuple(int(k == i) for k in range(n)): w for i, w in enumerate(row) if w
+        })
+    return _denormalized(h * draw(positive_rationals))
+
+
+OUTCOMES = {
+    "negative_coefficient": with_negative_coefficient(),
+    "not_homogeneous": with_mixed_degrees(),
+    "support_not_m_convex": with_support_gap(),
+    "hessian_failure": with_hessian_failure(),
+    None: denormalized_products(),
+}
+
+
+def test_normalize_flag_on_a_hessian_failure():
+    # N(2 x1^2 + x1 x2 + 2 x2^2) = x1^2 + x1 x2 + x2^2
+    h = poly("vars: 2\n2 x1^2 + x1 x2 + 2 x2^2")
+    certificate = lorentzian_certify(h, normalize=True)
+    assert certificate == lorentzian_certify(normalize(h))
+    assert certificate.failure == HessianFailure((), InertiaSignature(2, 0, 0))
+
+
+@pytest.mark.parametrize("kind", OUTCOMES)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_normalize_flag_matches_normalize_then_certify(kind, data):
+    h = data.draw(OUTCOMES[kind])
+    certificate = lorentzian_certify(h, normalize=True)
+    assert certificate.to_dict() == lorentzian_certify(normalize(h)).to_dict()
+    assert (certificate.failure and certificate.failure.kind) == kind
+
+
 @st.composite
 def bivariate_forms(draw):
     """Nonnegative bivariate forms of degree 2-8: products of nonnegative
@@ -598,6 +723,13 @@ def test_symmetry_reduction_matches_derivative_oracle(h):
         assert certificate.is_lorentzian
     else:
         assert certificate.failure == HessianFailure(*expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(block_symmetric_forms().map(_denormalized))
+def test_normalize_flag_keeps_the_symmetry_reduction(h):
+    # the multinomial weights are symmetric, so every tied pair stays tied
+    assert lorentzian_certify(h, normalize=True) == lorentzian_certify(normalize(h))
 
 
 @st.composite

@@ -3,8 +3,9 @@ instances, and ``lorentz gen`` against the sweep's own generator."""
 
 import pytest
 
+from lorentzpoly.certify import lorentzian_certify
 from lorentzpoly.cli import main
-from lorentzpoly.polynomials import format_polynomial
+from lorentzpoly.polynomials import format_polynomial, normalize
 from lorentzpoly.sweeps import (
     FAMILIES,
     FAMILY_TABLE,
@@ -42,13 +43,25 @@ def test_table_covers_every_family():
     assert set(SWEEPS) == set(FAMILIES)
 
 
-@pytest.mark.parametrize("mode", ["support_only", "inequality"])
+@pytest.mark.parametrize("mode", ["certify", "support_only", "inequality"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_instances_and_failures(family, mode):
     bounds, count = SWEEPS[family]
     report = run_sweep(SweepSpec(family, mode, bounds))
     assert report.instances_checked == count
     assert [f["instance"] for f in report.failures] == FAILURES.get((family, mode), [])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_certify_matches_normalize_then_certify(family):
+    bounds, _ = SWEEPS[family]
+    entry = FAMILY_TABLE[family]
+    for instance_id, payload in _instances(SweepSpec(family, "certify", bounds)):
+        raw = entry.generate(payload)
+        for label, target in entry.targets(payload, raw):
+            expected = normalize(target) if entry.normalize else target
+            got = lorentzian_certify(target, normalize=entry.normalize)
+            assert got.to_dict() == lorentzian_certify(expected).to_dict(), (instance_id, label)
 
 
 def _flag_text(flag, value):

@@ -480,9 +480,11 @@ class TestCrashingInstance:
         monkeypatch.setitem(FAMILY_TABLE, "key", dataclasses.replace(family, generate=generate))
         return request.param.__name__
 
-    # with --jobs 2 the pool's workers are forked and inherit the patched table
+    # with --jobs 2 the pool's workers are forked and inherit the patched table;
+    # the host's core count would refuse --jobs 2 on a single core
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_crash_is_an_error_failure(self, crash, jobs, capsys):
+    def test_crash_is_an_error_failure(self, crash, jobs, capsys, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         code = main(["sweep", "--family", "key", "--boxes", "2", "--parts", "3",
                      "--jobs", jobs, "--out", "json"])
         assert code == 1
@@ -499,3 +501,68 @@ class TestCrashingInstance:
     def test_bound_errors_still_exit_2(self, crash, capsys):
         assert main(["sweep", "--family", "key", "--boxes", "99", "--parts", "3"]) == 2
         assert "boxes=99" in capsys.readouterr().err
+
+
+class TestJobs:
+    """``--jobs`` takes 0 (every core) up to the core count; a sweep starts
+    no more workers than it has instances.  No test here starts a pool."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Worker counts of the pools the sweep asks for; each pool runs its
+        tasks in this process."""
+        import multiprocessing
+
+        counts = []
+
+        class SerialPool:
+            def __init__(self, workers):
+                counts.append(workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, function, tasks, chunksize=1):
+                return map(function, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        return counts
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+
+    @pytest.mark.parametrize("jobs", ["-3", "-1", "5", "1000000"])
+    def test_refused_without_a_pool(self, no_pool, jobs, capsys):
+        code = main(["sweep", "--family", "schubert", "--n", "3", "--jobs", jobs])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs {jobs} outside 0..4 (0 uses every core)\n"
+
+    def test_one_job_runs_serially(self, no_pool, capsys):
+        assert main(["sweep", "--family", "schubert", "--n", "3", "--jobs", "1"]) == 0
+        assert "instances checked: 6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "4"])
+    def test_every_core(self, started, jobs, capsys):
+        assert main(["sweep", "--family", "schubert", "--n", "3", "--jobs", jobs]) == 0
+        assert "instances checked: 6" in capsys.readouterr().out
+        assert started == [4]
+
+    def test_workers_capped_at_instances(self, started):
+        spec = SweepSpec("schubert", "certify", SweepBounds(n=3))
+        assert run_sweep(spec, jobs=64).instances_checked == 6
+        assert run_sweep(spec, jobs=64, only="w=1").instances_checked == 2
+        assert run_sweep(spec, jobs=64, only="w=321").instances_checked == 1
+        assert started == [6, 2]
