@@ -249,6 +249,12 @@ def _exchange_scan(pts):
     return None
 
 
+def _rank_test_runs(varying: int, size: int) -> bool:
+    """The rank test, over 2^varying subsets, runs before the pairwise scan
+    only when that is at most the number of points, within the scan's cost."""
+    return varying > 0 and 2**varying <= size
+
+
 def m_convex_failure(points):
     """First violation of the exchange axiom, or None when M-convex.
 
@@ -272,7 +278,7 @@ def m_convex_failure(points):
     reduced = pts
     if len(moving) < len(columns):
         reduced = list(zip(*[columns[k] for k in moving]))
-    if moving and 2 ** len(moving) <= len(pts) and _rank_m_convex(reduced):
+    if _rank_test_runs(len(moving), len(pts)) and _rank_m_convex(reduced):
         return None
     witness = _exchange_scan(reduced)
     if witness is None or reduced is pts:
@@ -625,6 +631,17 @@ def lorentzian_certify(poly: Polynomial, *, normalize: bool = False) -> LorentzC
         checks.append(CHECK_HESSIANS)
 
     return LorentzCertificate(LORENTZIAN, poly.arity, degree, tuple(checks))
+
+
+def _pairwise_scan_shape(poly: Polynomial):
+    """(|S|, m) when ``lorentzian_certify(poly)`` decides M-convexity of its
+    support S by the pairwise scan alone, m being the number of coordinates
+    that vary over S; None when it stops earlier or runs the rank test."""
+    if len({sum(e) for e in poly.terms}) > 1 or any(c < 0 for c in poly.terms.values()):
+        return None  # refused as not homogeneous or for a negative coefficient
+    size = len(poly.terms)
+    varying = sum(min(col) != max(col) for col in zip(*poly.terms))
+    return None if _rank_test_runs(varying, size) else (size, varying)
 
 
 def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> bool:

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, corpus
-from .certify import lorentzian_certify, quadratic_form_matrix
+from .certify import _pairwise_scan_shape, lorentzian_certify, quadratic_form_matrix
 from .polynomials import (
     MAX_PARSE_ARITY,
     Polynomial,
@@ -114,21 +114,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# A support whose varying coordinates m have 2^m > |S| skips the rank test
-# of M-convexity (``certify.m_convex_failure``), and its witness scan takes
-# time quadratic in |S|; certify refuses such a support above this size.
+# The pairwise exchange scan takes time quadratic in the support; certify
+# refuses a support above this size that the certifier would scan without
+# first trying the rank test (``certify._pairwise_scan_shape``).
 MAX_SCAN_POINTS = 2000
 
 
 def _check_scan_size(poly: Polynomial):
-    size = len(poly.terms)
-    if size > MAX_SCAN_POINTS:
-        varying = sum(min(col) != max(col) for col in zip(*poly.terms))
-        if 2**varying > size:
-            raise UsageError(
-                f"support of {size} points in {varying} varying coordinates needs a "
-                f"pairwise exchange scan, limited to {MAX_SCAN_POINTS} points"
-            )
+    scan = _pairwise_scan_shape(poly)
+    if scan is not None and scan[0] > MAX_SCAN_POINTS:
+        size, varying = scan
+        raise UsageError(
+            f"support of {size} points in {varying} varying coordinates needs a "
+            f"pairwise exchange scan, limited to {MAX_SCAN_POINTS} points"
+        )
 
 
 def _read_input(path: str) -> str:

@@ -17,11 +17,13 @@ first exchange-axiom violation by building and looking up the moved
 points of every pair (versus bit masks of the moves within the set), the
 first Hessian failure by differentiating along each derivative multiset,
 with no symmetry reduction (versus one pass over the terms, one multiset
-per symmetry orbit), degree polynomials from Bruhat covers found by
-comparing lengths, summed upward through the interval one length at a
-time with ``Polynomial`` linear forms (versus covers read off the one-line
-entries and a memoized recursion down from w on int coefficients), the
-advisory log-concavity spot check, the exact
+per symmetry orbit), the Kostant partition function by a bounded
+knapsack over the negative roots (versus one truncated product expansion
+on int counts, shared with the Verma character), degree polynomials from
+Bruhat covers found by comparing lengths, summed upward through the
+interval one length at a time with ``Polynomial`` linear forms (versus
+covers read off the one-line entries and a memoized recursion down from w
+on int coefficients), the advisory log-concavity spot check, the exact
 inertia of the Hessian of log h at sample points (versus the Hessian
 certificate), and the polynomial text format by one anchored match per
 sign, coefficient and factor, each checked as it is read (versus one regex
@@ -57,7 +59,7 @@ from .polynomials import (
     _long_number,
 )
 from .schubert import Permutation
-from .symmetric import Partition, SkewShape, StrictPartition
+from .symmetric import Partition, SkewShape, StrictPartition, _negative_roots
 
 
 def alternant(exponents, m: int) -> Polynomial:
@@ -301,6 +303,53 @@ def kostka_by_tableaux(lam, mu) -> int:
         1 for weight in _enumerate_fillings(lam, Partition(), len(mu), budget=mu)
         if weight == mu
     )
+
+
+# -- Kostant partition function ---------------------------------------------
+
+
+def _kostant_ways(index, target, roots, settled, bound, memo) -> int:
+    """Multisets of ``roots[index:]``, each root used at most ``bound`` times,
+    summing to ``target``; ``memo`` maps (index, target) to the count."""
+    key = (index, target)
+    if key not in memo:
+        if any(target[i] for i in settled[index]):
+            total = 0
+        elif index == len(roots):
+            total = 1
+        else:
+            a, b = roots[index]
+            total = 0
+            for count in range(bound + 1):
+                nxt = list(target)
+                nxt[a] += count
+                nxt[b] -= count
+                total += _kostant_ways(index + 1, tuple(nxt), roots, settled, bound, memo)
+        memo[key] = total
+    return memo[key]
+
+
+def kostant_partition_by_knapsack(v) -> int:
+    """Count multisets of negative roots e_b - e_a (a < b) summing to ``v``.
+
+    Bounded knapsack over the lexicographically ordered roots, each used at
+    most the total negative mass of ``v`` times.
+    """
+    v = tuple(int(x) for x in v)
+    if sum(v) != 0:
+        return 0
+    m = len(v)
+    roots = _negative_roots(m)
+    bound = sum(-x for x in v if x < 0)
+    if bound == 0:
+        return 1  # the empty multiset expresses the zero vector
+
+    # settled[t]: coordinates no root from position t onward can change
+    settled = [set(range(m))]
+    for a, b in reversed(roots):
+        settled.append(settled[-1] - {a, b})
+    settled.reverse()
+    return _kostant_ways(0, v, roots, settled, bound, {})
 
 
 # Marked shifted tableaux: entries come from the ordered alphabet

@@ -3,7 +3,7 @@
 A polynomial in ``m`` variables x1, ..., xm is a finite map from exponent
 vectors (tuples of ``m`` nonnegative ints) to nonzero ``Fraction``
 coefficients.  The zero polynomial is the empty map.  All arithmetic is
-exact; nothing in this module touches floating point.
+exact; nothing in this module touches floating point, and floats are refused.
 
 The constructor builds one Fraction per term: a coefficient that already
 is one is kept as it is, and coefficients are added only where an
@@ -43,6 +43,14 @@ class PolynomialSyntaxError(ValueError):
         self.column = column
 
 
+def _rational(value) -> Fraction:
+    """``Fraction(value)``, refusing a float, whose binary value is seldom
+    the number meant (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(value, float):
+        raise ValueError(f"float {value!r} is not exact; use an int, a Fraction or a string")
+    return Fraction(value)
+
+
 def _factorial_product(exponent: Exponent) -> int:
     prod = 1
     for e in exponent:
@@ -75,7 +83,7 @@ class Polynomial:
                     raise ValueError(f"negative exponent in {exponent}")
                 raise ValueError(f"non-integer exponent {exponent}")
             if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+                coeff = _rational(coeff)
             if not coeff:
                 continue
             previous = canonical.get(exponent)
@@ -104,7 +112,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: _rational(value)})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "Polynomial":
@@ -117,7 +125,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, arity: int, exponent, coeff=1) -> "Polynomial":
-        return cls(arity, {tuple(exponent): Fraction(coeff)})
+        return cls(arity, {tuple(exponent): _rational(coeff)})
 
     # -- basic queries ------------------------------------------------
 
@@ -277,7 +285,7 @@ class Polynomial:
                     raise ValueError(f"bad substitution target {value!r}")
                 renames[index - 1] = int(match.group(1)) - 1
             else:
-                consts[index - 1] = Fraction(value)
+                consts[index - 1] = _rational(value)
         out: dict[Exponent, Fraction] = {}
         for exponent, coeff in self.terms.items():
             reduced = list(exponent)
@@ -306,7 +314,7 @@ class Polynomial:
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point given as one rational per variable."""
-        values = [Fraction(v) for v in point]
+        values = [_rational(v) for v in point]
         if len(values) != self.arity:
             raise ValueError(f"point has length {len(values)}, expected {self.arity}")
         total = _ZERO

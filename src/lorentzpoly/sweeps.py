@@ -355,6 +355,15 @@ def _repro_command(spec: SweepSpec, instance_id: str) -> str:
     return " ".join(parts)
 
 
+def _failure(spec: SweepSpec, instance_id: str, target: str, detail: str, certificate=None):
+    """The failure dict of one instance; an ``error`` failure has no certificate."""
+    failure = {"instance": instance_id, "target": target, "detail": detail}
+    if certificate is not None:
+        failure["certificate"] = certificate
+    failure["repro"] = _repro_command(spec, instance_id)
+    return failure
+
+
 def _check_instance(spec: SweepSpec, instance_id: str, payload):
     """Return a failure dict or None."""
     family = FAMILY_TABLE[spec.family]
@@ -363,42 +372,25 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
         for label, target in family.targets(payload, raw):
             certificate = lorentzian_certify(target, normalize=family.normalize)
             if not certificate.is_lorentzian:
-                return {
-                    "instance": instance_id,
-                    "target": label,
-                    "detail": f"{label}: {certificate.failure.kind}",
-                    "certificate": certificate.to_dict(),
-                    "repro": _repro_command(spec, instance_id),
-                }
+                return _failure(spec, instance_id, label,
+                                f"{label}: {certificate.failure.kind}", certificate.to_dict())
         return None
     if spec.mode == "support_only":
         witness = m_convex_failure(raw.terms)
         if witness is not None:
             alpha, beta, index = witness
-            return {
-                "instance": instance_id,
-                "target": "support",
-                "detail": f"exchange fails at alpha={alpha} beta={beta} i={index}",
-                "certificate": SupportNotMConvex(*witness).to_dict(),
-                "repro": _repro_command(spec, instance_id),
-            }
+            return _failure(spec, instance_id, "support",
+                            f"exchange fails at alpha={alpha} beta={beta} i={index}",
+                            SupportNotMConvex(*witness).to_dict())
         return None
     if spec.mode == "inequality":
         violations = root_direction_violations(raw)
         if violations:
             mu, i, j = violations[0]
-            return {
-                "instance": instance_id,
-                "target": "coefficients",
-                "detail": f"log-concavity fails at mu={mu} (i,j)=({i},{j})",
-                "certificate": {
-                    "kind": "root_direction_log_concavity",
-                    "mu": list(mu),
-                    "i": i,
-                    "j": j,
-                },
-                "repro": _repro_command(spec, instance_id),
-            }
+            return _failure(spec, instance_id, "coefficients",
+                            f"log-concavity fails at mu={mu} (i,j)=({i},{j})",
+                            {"kind": "root_direction_log_concavity", "mu": list(mu),
+                             "i": i, "j": j})
         return None
     raise AssertionError(spec.mode)
 
@@ -408,12 +400,7 @@ def _guarded_check(spec: SweepSpec, instance_id: str, payload):
     try:
         return _check_instance(spec, instance_id, payload)
     except Exception as exc:  # noqa: BLE001 - a crash is a failed instance
-        return {
-            "instance": instance_id,
-            "target": "error",
-            "detail": f"{type(exc).__name__}: {exc}",
-            "repro": _repro_command(spec, instance_id),
-        }
+        return _failure(spec, instance_id, "error", f"{type(exc).__name__}: {exc}")
 
 
 def _worker(args):

@@ -14,17 +14,18 @@ and empties it when the sweep ends).  Kostka numbers are the Schur rule
 read at one weight.  The tableau walks these replace live in ``oracles``
 as test-only cross-checks.
 
-Also here: the type A Kostant partition function (bounded-knapsack count
-of negative-root multisets) and the normalized truncated character of a
-universal highest-weight module, built from the product of geometric
-factors over the negative roots, each truncated at sum(delta), which
-drops no term of nonnegative exponent.
+Also here: the type A Kostant partition function K and the normalized
+truncated character of a universal highest-weight module, both read off
+one expansion on int counts: the product of geometric factors over the
+negative roots, each truncated at sum(delta), times x^delta, which drops
+no term of nonnegative exponent and has K(mu - delta) at x^mu.  The tests
+check K against a bounded knapsack over the roots, in ``oracles``.
 """
 
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, normalize
+from .polynomials import Polynomial, _factorial_product
 
 
 class Partition:
@@ -326,69 +327,15 @@ def _negative_roots(m: int):
     return [(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
-def _kostant_ways(index, target, roots, settled, bound, memo) -> int:
-    """Multisets of ``roots[index:]``, each root used at most ``bound`` times,
-    summing to ``target``; ``memo`` maps (index, target) to the count."""
-    key = (index, target)
-    if key not in memo:
-        if any(target[i] for i in settled[index]):
-            total = 0
-        elif index == len(roots):
-            total = 1
-        else:
-            a, b = roots[index]
-            total = 0
-            for count in range(bound + 1):
-                nxt = list(target)
-                nxt[a] += count
-                nxt[b] -= count
-                total += _kostant_ways(index + 1, tuple(nxt), roots, settled, bound, memo)
-        memo[key] = total
-    return memo[key]
-
-
-def kostant_partition(v) -> int:
-    """Count multisets of negative roots e_b - e_a (a < b) summing to ``v``.
-
-    Bounded knapsack over the lexicographically ordered roots.  Any single
-    root multiplicity is at most the total negative mass of ``v`` (each
-    unit of an expressing multiset traces an index-increasing path, and no
-    edge carries more units than there are paths).
+def _kostant_counts(delta: tuple) -> dict:
+    """{mu: K(mu - delta)} over the mu >= 0 with |mu| = |delta| where K,
+    the number of multisets of negative roots e_b - e_a (a < b) summing to
+    a vector, is not zero.  The product over pairs i > j of the geometric
+    series in x_i/x_j, each truncated at exponent |delta| (which loses
+    nothing, see ``kostant_partition``), is expanded on int counts and
+    shifted by x^delta.
     """
-    v = tuple(int(x) for x in v)
-    if sum(v) != 0:
-        return 0
-    m = len(v)
-    roots = _negative_roots(m)
-    bound = sum(-x for x in v if x < 0)
-    if bound == 0:
-        return 1  # the empty multiset expresses the zero vector
-
-    # settled[t]: coordinates no root from position t onward can change
-    settled = [set(range(m))]
-    for a, b in reversed(roots):
-        settled.append(settled[-1] - {a, b})
-    settled.reverse()
-    return _kostant_ways(0, v, roots, settled, bound, {})
-
-
-def verma_truncated_normalized(delta) -> Polynomial:
-    """Normalized truncated character of a universal highest-weight module.
-
-    Expands the product over pairs i > j of 1 + x_i/x_j + (x_i/x_j)^2 + ...
-    with each geometric factor truncated at exponent sum(delta), multiplies
-    by x^delta, keeps the part with nonnegative exponents and normalizes
-    it.  The product is expanded on int counts, which become Fractions
-    once, in the final polynomial.  No root enters a nonnegative term more
-    than sum(delta) times, so nothing is lost to the truncation.  The
-    result is homogeneous of degree sum(delta).
-    """
-    delta = tuple(int(x) for x in delta)
-    if any(x < 0 for x in delta):
-        raise ValueError("delta entries must be nonnegative")
     m = len(delta)
-    if m < 1:
-        raise ValueError("need at least one variable")
     cap = sum(delta)
 
     factors = _negative_roots(m)
@@ -419,6 +366,42 @@ def verma_truncated_normalized(delta) -> Polynomial:
                 nxt[key] = nxt.get(key, 0) + coeff
         current = nxt
 
-    shifted = {tuple(e + d for e, d in zip(exponent, delta)): coeff
-               for exponent, coeff in current.items()}
-    return normalize(Polynomial(m, shifted))
+    return {tuple(e + d for e, d in zip(exponent, delta)): coeff
+            for exponent, coeff in current.items()}
+
+
+def kostant_partition(v) -> int:
+    """Count multisets of negative roots e_b - e_a (a < b) summing to ``v``.
+
+    With v+ and v- the positive and negative parts of ``v``, the count is
+    K(v+ - v-), read off ``_kostant_counts(v-)`` at v+.  Any single root
+    multiplicity is at most the total negative mass |v-| (each unit of an
+    expressing multiset traces an index-increasing path, and no edge
+    carries more units than there are paths), so the truncation of the
+    expansion at |v-| loses nothing.
+    """
+    v = tuple(int(x) for x in v)
+    if sum(v) != 0:
+        return 0
+    below = tuple(max(0, -x) for x in v)
+    above = tuple(max(0, x) for x in v)
+    return _kostant_counts(below).get(above, 0)
+
+
+def verma_truncated_normalized(delta) -> Polynomial:
+    """Normalized truncated character of a universal highest-weight module.
+
+    The product over pairs i > j of 1 + x_i/x_j + (x_i/x_j)^2 + ..., times
+    x^delta, with only its terms of nonnegative exponents kept and then
+    normalized: the coefficient at mu is K(mu - delta) / mu!, from
+    ``_kostant_counts``, and each becomes a Fraction once.  The result is
+    homogeneous of degree sum(delta).
+    """
+    delta = tuple(int(x) for x in delta)
+    if any(x < 0 for x in delta):
+        raise ValueError("delta entries must be nonnegative")
+    m = len(delta)
+    if m < 1:
+        raise ValueError("need at least one variable")
+    return Polynomial._raw(m, {mu: Fraction(count, _factorial_product(mu))
+                               for mu, count in _kostant_counts(delta).items()})

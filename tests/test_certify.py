@@ -768,12 +768,12 @@ def test_hot_paths_use_the_integer_kernels():
     )
     assert "_signature_from_char_coeffs" not in production
     assert "coefficient" not in names["certify.py", "root_direction_violations"]
-    # Faddeev-LeVerrier, the per-point root check and the piece-by-piece
-    # parser are defined and named in oracles.py alone, not in another
-    # module or a demo
+    # Faddeev-LeVerrier, the per-point root check, the piece-by-piece
+    # parser and the Kostant knapsack are defined and named in oracles.py
+    # alone, not in another module or a demo
     second_routes = re.compile(
         r"\b(_char_poly_int|characteristic_polynomial|discrete_root_log_concavity"
-        r"|parse_polynomial_by_pieces)\b"
+        r"|parse_polynomial_by_pieces|kostant_partition_by_knapsack|_kostant_ways)\b"
     )
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
     for path in [*package.glob("*.py"), *demos.glob("*.py")]:

@@ -57,6 +57,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(str(exponent))):
             Polynomial(2, {exponent: 1})
 
+    # each entry point that reads a coefficient or a value, called with it
+    RATIONAL_ENTRIES = {
+        "constructor": lambda value: Polynomial(2, {(1, 0): value, (0, 1): 1}),
+        "constant": lambda value: Polynomial.constant(2, value),
+        "monomial": lambda value: Polynomial.monomial(2, (1, 1), value),
+        "specialize": lambda value: Polynomial(2, {(1, 1): 1}).specialize({1: value}),
+        "evaluate": lambda value: Polynomial(2, {(1, 1): 1}).evaluate([value, 2]),
+    }
+
+    @pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
+    @pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+    def test_float_value_rejected(self, entry, value):
+        # a float's binary value is not the decimal it prints as
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            self.RATIONAL_ENTRIES[entry](value)
+
+    @pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
+    def test_exact_values_accepted(self, entry):
+        call = self.RATIONAL_ENTRIES[entry]
+        assert call(3) == call(Fraction(3))
+        if entry != "specialize":  # which reads a string as a variable name
+            assert call("1/2") == call(Fraction(1, 2))
+
 
 class Entries:
     """A ``terms`` argument whose items may repeat an exponent, as a list

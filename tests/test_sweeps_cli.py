@@ -246,6 +246,21 @@ class TestCli:
         assert result.returncode == 1
         assert json.loads(result.stdout)["failure"]["kind"] == "support_not_m_convex"
 
+    @pytest.mark.parametrize(
+        "edit, kind",
+        [
+            (lambda text: " - ".join(text.rsplit(" + ", 1)), "negative_coefficient"),
+            (lambda text: text[:-1] + " + 1\n", "not_homogeneous"),
+        ],
+        ids=["negated_term", "constant_term"],
+    )
+    def test_certify_runs_a_support_it_refutes_before_the_scan(self, edit, kind):
+        # over the limit, but the certifier stops before M-convexity
+        text = edit(square_free_quadratic(MAX_SCAN_POINTS + 1))
+        result = lorentz("certify", "-", "--out", "json", stdin=text)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["failure"]["kind"] == kind
+
     def test_certify_json_schema(self):
         raw = lorentz("gen", "--family", "schubert", "--w", "1423")
         result = lorentz("certify", "-", "--out", "json", stdin=raw.stdout)

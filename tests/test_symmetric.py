@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lorentzpoly.certify import is_m_convex
 from lorentzpoly.oracles import (
     alternant,
+    kostant_partition_by_knapsack,
     kostka_by_tableaux,
     schur_p_by_marked_tableaux,
     skew_schur_by_tableaux,
@@ -295,6 +296,18 @@ class TestCompleteHomogeneous:
         assert lhs == rhs
 
 
+@st.composite
+def sum_zero_vectors(draw, arities, low, high):
+    """Vectors with entries in low..high that sum to zero."""
+    m = draw(arities)
+    head = draw(
+        st.lists(st.integers(low, high), min_size=m - 1, max_size=m - 1)
+        .filter(lambda head: low <= -sum(head) <= high)
+    )
+    at = draw(st.integers(0, m - 1))
+    return tuple(head[:at] + [-sum(head)] + head[at:])
+
+
 class TestKostant:
     def test_zero_vector(self):
         assert kostant_partition((0, 0, 0)) == 1
@@ -310,6 +323,12 @@ class TestKostant:
         for m in (2, 3, 4):
             for v in itertools.product(range(-3, 4), repeat=m):
                 assert kostant_partition(v) == brute_kostant(v)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sum_zero_vectors(st.integers(5, 6), -3, 3))
+    @example((-3, -3, -3, 3, 3, 3))
+    def test_matches_the_knapsack_beyond_the_window(self, v):
+        assert kostant_partition(v) == kostant_partition_by_knapsack(v)
 
     def test_leaves_no_reference_cycles(self):
         # the knapsack memo goes with the call
@@ -346,6 +365,24 @@ class TestVerma:
                     for e in mu:
                         mu_factorial *= math.factorial(e)
                     expected[mu] = Fraction(count, mu_factorial)
+            assert verma_truncated_normalized(delta).terms == expected, delta
+
+    def test_terms_are_knapsack_counts_over_factorials(self):
+        # K(mu - delta) / mu! at every mu >= 0 of size |delta|, at arity 5
+        rng = random.Random(5)
+        deltas = [(1, 1, 1, 1, 1)] + [
+            tuple(rng.randint(0, 2) for _ in range(5)) for _ in range(8)
+        ]
+        for delta in deltas:
+            expected = {}
+            for mu in itertools.product(range(sum(delta) + 1), repeat=5):
+                if sum(mu) != sum(delta):
+                    continue
+                count = kostant_partition_by_knapsack(
+                    tuple(a - b for a, b in zip(mu, delta))
+                )
+                if count:
+                    expected[mu] = Fraction(count, math.prod(map(math.factorial, mu)))
             assert verma_truncated_normalized(delta).terms == expected, delta
 
     def test_homogeneous_of_shift_degree(self):
