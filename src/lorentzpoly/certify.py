@@ -53,7 +53,12 @@ and the Hessian of the derivative by alpha is alpha! times the matrix, a
 positive factor that leaves the inertia unchanged.  A multiset under no
 term has the zero derivative, which passes.  Witness re-verification goes
 the other way, through the public derivative chain, so each verdict is
-covered by two independent routes.
+covered by two independent routes.  Each exponent is packed into one
+integer key, coordinate 0 in the highest of n fields of w bits, w being
+(d + 2).bit_length() + 1, so the top bit of a field, its guard bit, stays
+clear for every value up to d + 2.  The key of alpha is then the key of e
+less the steps of fields i and j, no field ever borrowing, and matrices
+are kept under these keys.
 
 Only one multiset per symmetry orbit is checked.  An adjacent pair k is
 tied when every scaled term c x^e has the same coefficient at e with e_k
@@ -71,12 +76,17 @@ report.  A multiset met for the first time is tested once; a non-canonical
 one is given a shared scratch matrix that absorbs its entries and is never
 checked, so with no tied pair the assembly runs as without the reduction.
 A term with e_k + 2 < e_{k+1} for a tied k yields no canonical alpha and
-is skipped whole.  For multiplicity vectors of one size, the lexicographic
-order of their sorted index tuples is the reverse lexicographic order of
-the vectors (at the first coordinate where two differ, the larger count
-gives the smaller tuple), so the matrices are checked in the order of
-``sorted(hessians, reverse=True)`` and the index tuple is built only for
-the witness.
+is skipped whole.  Both tests take one subtraction on packed keys: with
+every guard bit set in the key shifted down one field, subtracting the
+key leaves the guard bit of field k + 1 set exactly where alpha_k >=
+alpha_{k+1}, and adding 2 to each field first tests e_k + 2 >= e_{k+1};
+a mask of the guards of the tied pairs reads every tied k at once.  For
+multiplicity vectors of one size, the lexicographic order of their sorted
+index tuples is the reverse lexicographic order of the vectors (at the
+first coordinate where two differ, the larger count gives the smaller
+tuple), and as no field overflows, the keys compare as the vectors do, so
+the matrices are checked in the order of ``sorted(hessians, reverse=True)``
+and a key is unpacked to its index tuple only for the witness.
 
 A normalized polynomial N(p) = sum c_mu x^mu / mu! is certified on
 integers, without being built.  For p homogeneous of degree d,
@@ -88,6 +98,15 @@ the tied pairs stay, and multiplies each Hessian by that number, which
 keeps every inertia; a positive multiple of a Lorentzian polynomial is
 Lorentzian (Branden-Huh, Lorentzian polynomials, 2020).  The certificate
 of N(p), witness included, is therefore read off these integers.
+
+Log-concavity along a root direction e_i - e_j fails at mu when c(mu)^2 <
+c(mu + e_i - e_j) c(mu - e_i + e_j).  A square is never negative, so the
+product on the right is positive and both neighbours of mu are terms.
+The scan therefore needs no walk along each line: for every term a and
+i < j it looks up whether b = a - 2 e_i + 2 e_j is a term, on packed keys
+where both moves are one addition, and only then reads the centre
+a - e_i + e_j.  A line's table, which orders the violations as the lines
+are met, is built only for a direction that has one.
 """
 
 import itertools
@@ -535,6 +554,20 @@ def _multiset_indices(alpha) -> tuple:
     return tuple(out)
 
 
+def _field_steps(n: int, width: int) -> list:
+    """The step 2^(width (n - 1 - k)) of each coordinate k < n: packed as
+    sum(e_k * step_k), coordinate 0 fills the highest field, so keys of
+    one arity whose fields never overflow compare as their tuples do."""
+    return [1 << width * (n - 1 - k) for k in range(n)]
+
+
+def _unpacked(key: int, width: int, n: int, offset: int = 0) -> tuple:
+    """The exponent packed in ``key`` by ``_field_steps(n, width)``, each
+    field holding its coordinate plus ``offset``."""
+    mask = (1 << width) - 1
+    return tuple((key >> width * (n - 1 - k) & mask) - offset for k in range(n))
+
+
 def _certified_coefficients(poly: Polynomial, degree, normalize: bool) -> dict:
     """The exponent -> int map the certifier reads: ``_scaled_coefficients``,
     times the multinomial d!/mu! at each mu when ``normalize`` is set.
@@ -592,24 +625,31 @@ def lorentzian_certify(poly: Polynomial, *, normalize: bool = False) -> LorentzC
     if degree is not None and degree >= 2:
         n = poly.arity
         tied = _tied_pairs(coeffs, n)
+        width = (degree + 2).bit_length() + 1
+        steps = _field_steps(n, width)
+        high = sum(steps) << (width - 1)
+        # guard bit of field k + 1 for each tied k: set in (x >> width | high) - y
+        # where x_k >= y_{k+1}, as no field holds more than degree + 2
+        ordered = sum(steps[k + 1] for k in tied) << (width - 1)
+        twos = 2 * sum(steps)
         hessians = {}
         scratch = [[0] * n for _ in range(n)]  # the matrix of every non-canonical alpha
         for exponent, c in coeffs.items():
-            if tied and any(exponent[k] + 2 < exponent[k + 1] for k in tied):
-                continue  # every alpha of this term has alpha_k < alpha_{k+1}
+            key = sum(map(operator.mul, exponent, steps))
+            if ordered and (((key >> width) + twos | high) - key) & ordered != ordered:
+                continue  # e_k + 2 < e_{k+1}: every alpha of this term has alpha_k < alpha_{k+1}
             hot = [i for i in range(n) if exponent[i]]
             for a, i in enumerate(hot):
+                scaled = c * exponent[i]
+                key_i = key - steps[i]
                 for j in hot[a:]:
-                    value = c * exponent[i] * (exponent[j] - (i == j))
+                    value = scaled * (exponent[j] - (i == j))
                     if not value:
                         continue
-                    alpha = list(exponent)
-                    alpha[i] -= 1
-                    alpha[j] -= 1
-                    alpha = tuple(alpha)
+                    alpha = key_i - steps[j]
                     matrix = hessians.get(alpha)
                     if matrix is None:
-                        if tied and any(alpha[k] < alpha[k + 1] for k in tied):
+                        if ordered and ((alpha >> width | high) - alpha) & ordered != ordered:
                             matrix = scratch
                         else:
                             matrix = [[0] * n for _ in range(n)]
@@ -626,7 +666,7 @@ def lorentzian_certify(poly: Polynomial, *, normalize: bool = False) -> LorentzC
                     poly,
                     degree,
                     checks,
-                    HessianFailure(_multiset_indices(alpha), signature),
+                    HessianFailure(_multiset_indices(_unpacked(alpha, width, n)), signature),
                 )
         checks.append(CHECK_HESSIANS)
 
@@ -710,31 +750,46 @@ def bivariate_ulc(poly: Polynomial) -> bool:
     return True
 
 
+def _root_line(mu, i: int, j: int) -> tuple:
+    """The line {mu + t (e_i - e_j)} through mu: mu_i + mu_j and the other
+    coordinates (0-based i < j)."""
+    return (mu[i] + mu[j], mu[:i], mu[i + 1 : j], mu[j + 1 :])
+
+
 def root_direction_violations(poly: Polynomial):
     """All (mu, i, j) where the root-direction log-concavity check fails.
 
-    For each direction e_i - e_j the support splits into lines.  A point
-    mu can fail only strictly between the first and last support points of
-    its line: anywhere else one of its two neighbours on the line has
-    coefficient 0, and coeff(mu)^2 >= 0.  So this finite scan covers every
-    mu in Z^n.  The coefficients are scaled to integers once (a positive
-    scale keeps every inequality), and each line is read as a map from the
-    i-th exponent to its coefficient.
+    Only a centre of two terms a and a - 2 e_i + 2 e_j can fail (see the
+    module notes), so this finite scan covers every mu in Z^n.  The
+    coefficients are scaled to integers once (a positive scale keeps every
+    inequality).  Each field of a packed key holds its exponent plus 2 and
+    has room for 2 more, so a - 2 e_i + 2 e_j never borrows from or carries
+    into another field, and it is a key exactly when it is a term.  The
+    violations are listed by (i, j), then by line (the points
+    mu + t (e_i - e_j)) in the order of the first term on each, then by mu_i.
     """
     coeffs = _scaled_coefficients(poly)
-    violations = []
     n = poly.arity
+    if n < 2 or not coeffs:
+        return []
+    width = (max(map(max, coeffs)) + 4).bit_length()
+    steps = _field_steps(n, width)
+    lift = 2 * sum(steps)
+    table = {sum(map(operator.mul, e, steps)) + lift: c for e, c in coeffs.items()}
+    violations = []
     for i in range(n - 1):
         for j in range(i + 1, n):
-            lines = {}
-            for exponent, coeff in coeffs.items():
-                rest = (exponent[:i], exponent[i + 1 : j], exponent[j + 1 :])
-                line = lines.setdefault((exponent[i] + exponent[j], rest), {})
-                line[exponent[i]] = coeff
-            for (total, (head, middle, tail)), line in lines.items():
-                for t in range(min(line) + 1, max(line)):
-                    c = line.get(t, 0)
-                    if c * c < line.get(t - 1, 0) * line.get(t + 1, 0):
-                        mu = head + (t,) + middle + (total - t,) + tail
-                        violations.append((mu, i + 1, j + 1))
+            move = steps[j] - steps[i]  # x -> x - e_i + e_j
+            jump = 2 * move
+            found = []
+            for b in table.keys() & map(jump.__add__, table):  # a + jump in the support
+                centre = table.get(b - move, 0)
+                if centre * centre < table[b - jump] * table[b]:
+                    found.append(_unpacked(b - move, width, n, 2))
+            if found:
+                lines = {}  # line -> rank of its first term
+                for exponent in coeffs:
+                    lines.setdefault(_root_line(exponent, i, j), len(lines))
+                found.sort(key=lambda mu: (lines[_root_line(mu, i, j)], mu[i]))
+                violations.extend((mu, i + 1, j + 1) for mu in found)
     return violations

@@ -82,15 +82,25 @@ def _generate(args) -> Polynomial:
         verb = "is" if len(required) == 1 else "are"
         raise UsageError(f"{' and '.join(required)} {verb} required for {args.family}")
     payload = tuple(_PAYLOAD_READERS[flag](v) for flag, v in zip(family.gen_flags, values))
+    scale = None if args.scale is None else _read_scale(args.scale)
     if args.component is not None:  # grothendieck, whose payload is (w,)
         poly = grothendieck_component(Permutation(payload[0]), args.component)
     else:
         poly = family.generate(payload)
     if args.normalize:
         poly = normalize(poly)
-    if args.scale is not None:
-        poly = poly * Fraction(args.scale)
+    if scale is not None:
+        poly = poly * scale
     return poly
+
+
+def _read_scale(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"--scale {text}: zero denominator") from None
+    except ValueError:
+        raise UsageError(f"--scale {text!r} is not a rational number") from None
 
 
 def _check_arity(arity: int):

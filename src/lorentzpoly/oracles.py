@@ -57,6 +57,7 @@ from .polynomials import (
     Polynomial,
     PolynomialSyntaxError,
     _long_number,
+    _rational,
 )
 from .schubert import Permutation
 from .symmetric import Partition, SkewShape, StrictPartition, _negative_roots
@@ -673,7 +674,7 @@ def numeric_log_concavity_spot(poly: Polynomial, points) -> bool:
         scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
     terms = [(e, int(c * scale)) for e, c in poly.terms.items()]
     for point in points:
-        point = [Fraction(v) for v in point]
+        point = [_rational(v) for v in point]
         if any(v <= 0 for v in point):
             raise ValueError("points must be strictly positive")
         # x_i^a at p, times d_i^top_i: n_i^a d_i^(top_i - a) for p_i = n_i / d_i

@@ -355,6 +355,12 @@ class TestNumericSpot:
         with pytest.raises(ValueError):
             numeric_log_concavity_spot(poly("vars: 2\nx1 - 2 x2"), [(1, 1)])
 
+    @pytest.mark.parametrize("point", [(0.1, 1), (1, 0.5), (2.0, 3)])
+    def test_rejects_float_point(self, point):
+        # read as Polynomial.evaluate reads a value: a float is refused
+        with pytest.raises(ValueError, match="float"):
+            numeric_log_concavity_spot(schur((2,), 2), [point])
+
     def test_exact_below_any_tolerance(self):
         # x1^2 + (2 - 10^-12) x1 x2 + x2^2 is positive definite, so log h has
         # a positive Hessian eigenvalue, far below 1e-8 at (1, 1)
@@ -492,6 +498,59 @@ def polynomials_for_scan(draw):
 def test_root_direction_violations_match_lookup(h):
     # the full list, in order, not only the verdict
     assert root_direction_violations(h) == root_direction_violations_by_lookup(h)
+
+
+# exponents next to the widths where the packed scan's fields, each holding
+# an exponent plus at most 4, gain a bit: 2^k - 5 .. 2^k for k = 3..6
+FIELD_EDGES = [v for k in range(3, 7) for v in range(2**k - 5, 2**k + 1)]
+
+
+@st.composite
+def polynomials_on_root_lines(draw):
+    """Arity 2-5: a few runs of points along root lines mu + t (e_i - e_j),
+    t in -2..2, from bases with entries in 0..3 and at the field edges, with
+    integer, fractional and negative coefficients.  Runs of three points or
+    more make both neighbours of a centre terms, where violations occur."""
+    arity = draw(st.integers(2, 5))
+    entries = st.one_of(st.integers(0, 3), st.sampled_from(FIELD_EDGES))
+    coefficients = st.one_of(
+        st.integers(-30, 30).map(Fraction),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.lists(entries, min_size=arity, max_size=arity))
+        i, j = draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2, unique=True))
+        for t in draw(st.sets(st.integers(-2, 2), min_size=1)):
+            point = list(base)
+            point[i] += t
+            point[j] -= t
+            if min(point) >= 0:
+                terms[tuple(point)] = draw(coefficients)
+    return Polynomial(arity, terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polynomials_on_root_lines())
+def test_packed_scan_matches_lookup_at_field_edges(h):
+    assert root_direction_violations(h) == root_direction_violations_by_lookup(h)
+
+
+@pytest.mark.parametrize("top", FIELD_EDGES)
+def test_packed_scan_finds_violations_at_the_largest_exponent(top):
+    # c(mu)^2 < c(mu + e_1 - e_2) c(mu - e_1 + e_2) at mu = (top - 1, 1, 0),
+    # whose upper neighbour holds the largest exponent, and at (1, 1, top),
+    # which holds it in the coordinate the direction leaves alone; the terms
+    # (2, top, 0) and (0, 0, top) sit where a + 2 e_j fills a field most
+    h = Polynomial(3, {
+        (top, 0, 0): 4, (top - 1, 1, 0): 1, (top - 2, 2, 0): 1,
+        (2, 0, top): 9, (1, 1, top): -2, (0, 2, top): 1,
+        (2, top, 0): 1, (0, 0, top): 1,
+    })
+    violations = root_direction_violations(h)
+    assert ((top - 1, 1, 0), 1, 2) in violations
+    assert ((1, 1, top), 1, 2) in violations
+    assert violations == root_direction_violations_by_lookup(h)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -730,6 +789,90 @@ def test_symmetry_reduction_matches_derivative_oracle(h):
 def test_normalize_flag_keeps_the_symmetry_reduction(h):
     # the multinomial weights are symmetric, so every tied pair stays tied
     assert lorentzian_certify(h, normalize=True) == lorentzian_certify(normalize(h))
+
+
+# degrees 2^k - 3 .. 2^k - 1 for k = 3, 4: the packed Hessian keys hold
+# fields of (d + 2).bit_length() + 1 bits, which grow at d = 6 and d = 14
+HESSIAN_EDGE_DEGREES = [5, 6, 7, 13, 14, 15]
+
+
+@st.composite
+def sparse_block_symmetric_forms(draw):
+    """Forms of degree 2^k - 3 .. 2^k - 1 in 2-4 variables, fixed by every
+    permutation inside random blocks of consecutive coordinates: x^m, with
+    m constant on each block, times a power of each block's sum.  The
+    support is M-convex and small.  Every other one has the coefficients of
+    one whole orbit multiplied up, which keeps the symmetry and can fail a
+    Hessian."""
+    n = draw(st.integers(2, 4))
+    degree = draw(st.sampled_from(HESSIAN_EDGE_DEGREES))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    ends = [0, *cuts, n]
+    blocks = [range(a, b) for a, b in zip(ends, ends[1:])]
+    left = degree
+    powers = []
+    for block in blocks:
+        powers.append(draw(st.integers(0, min(left, degree if len(block) <= 2 else 2))))
+        left -= powers[-1]
+    level = [0] * n
+    for position, block in enumerate(blocks):
+        share = left // len(block)
+        if position < len(blocks) - 1:
+            share = draw(st.integers(0, share))
+        for k in block:
+            level[k] = share
+        left -= share * len(block)
+    powers[-1] += left  # less than the size of the last block
+    h = Polynomial.monomial(n, level)
+    for block, power in zip(blocks, powers):
+        block_sum = Polynomial(n, {tuple(int(k == i) for k in range(n)): 1 for i in block})
+        for _ in range(power):
+            h = h * block_sum
+    if draw(st.booleans()):
+        terms = dict(h.terms)
+        exponent = draw(st.sampled_from(sorted(terms)))
+        factor = draw(st.integers(2, 30))
+        perms = [
+            tuple(itertools.chain(*parts))
+            for parts in itertools.product(*map(itertools.permutations, blocks))
+        ]
+        for moved in {tuple(exponent[p] for p in perm) for perm in perms}:
+            terms[moved] *= factor
+        h = Polynomial(n, terms)
+    return h
+
+
+def _agrees_with_derivative_oracle(h, normalized):
+    """``lorentzian_certify(h, normalize=normalized)`` against the unreduced
+    derivative walk over the certified polynomial; the oracle's answer."""
+    certificate = lorentzian_certify(h, normalize=normalized)
+    expected = first_hessian_failure_by_derivatives(normalize(h) if normalized else h)
+    if expected is None:
+        assert certificate.is_lorentzian
+    else:
+        assert certificate.failure == HessianFailure(*expected)
+    return expected
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sparse_block_symmetric_forms())
+def test_packed_assembly_matches_derivative_oracle_at_field_edges(normalized, h):
+    assert h.homogeneous_degree() in HESSIAN_EDGE_DEGREES
+    _agrees_with_derivative_oracle(h, normalized)
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("degree", HESSIAN_EDGE_DEGREES)
+def test_packed_assembly_witness_at_field_edges(degree, normalized):
+    # (x1 + x2)^(d-1) x3 with the orbit of x1^(d-2) x2 x3 raised: x1 and x2 stay
+    # tied, and a Hessian fails, so the witness is unpacked from its key
+    h = Polynomial.monomial(3, (0, 0, 1))
+    for _ in range(degree - 1):
+        h = h * Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1})
+    raised = {(degree - 2, 1, 1), (1, degree - 2, 1)}
+    h = Polynomial(3, {e: c * (30 if e in raised else 1) for e, c in h.terms.items()})
+    assert _agrees_with_derivative_oracle(h, normalized) is not None
 
 
 @st.composite

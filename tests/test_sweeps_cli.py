@@ -281,6 +281,29 @@ class TestCli:
         assert result.returncode == 0
         assert result.stdout == "vars: 2\n-2/3 x1 - 2/3 x2\n"
 
+    @pytest.mark.parametrize("scale, message", [
+        ("1/0", "error: --scale 1/0: zero denominator\n"),
+        ("-2/0", "error: --scale -2/0: zero denominator\n"),
+        ("two", "error: --scale 'two' is not a rational number\n"),
+    ])
+    def test_gen_unreadable_scale_exits_2(self, scale, message, monkeypatch, capsys):
+        # refused before the generator runs
+        family = FAMILY_TABLE["schur"]
+        payloads = []
+
+        def generate(payload):
+            payloads.append(payload)
+            return family.generate(payload)
+
+        monkeypatch.setitem(FAMILY_TABLE, "schur", dataclasses.replace(family, generate=generate))
+        code = main(["gen", "--family", "schur", "--lambda", "2,1", "--vars", "3",
+                     f"--scale={scale}"])
+        assert code == 2
+        assert payloads == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_gen_negative_component_exits_2(self):
         result = lorentz("gen", "--family", "grothendieck", "--w", "1432",
                          "--component", "-1")
