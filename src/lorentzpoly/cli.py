@@ -119,8 +119,19 @@ def _cmd_gen(args) -> int:
         # gen puts no cap on its bounds; a polynomial too large to build is
         # still a bad request, not a refutation
         raise UsageError("not enough memory to build this polynomial") from None
+    except RecursionError:
+        # the degree polynomial recurses once per length of w
+        raise UsageError("recursion too deep to build this polynomial") from None
     _check_arity(poly.arity)
-    sys.stdout.write(format_polynomial(poly))
+    try:
+        text = format_polynomial(poly)
+    except ValueError:  # a number past int()'s digit limit, which certify could not read
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(
+            f"number with more than {limit} digits in a coefficient; the text "
+            f"format reads at most {limit} digits per number"
+        ) from None
+    sys.stdout.write(text)
     return 0
 
 

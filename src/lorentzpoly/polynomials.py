@@ -23,6 +23,7 @@ naming of the text format.
 """
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -49,6 +50,16 @@ def _rational(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"float {value!r} is not exact; use an int, a Fraction or a string")
     return Fraction(value)
+
+
+def _int_entries(values) -> tuple:
+    """The entries of ``values`` as a tuple of ints, refusing any entry that
+    is not an integer, where ``int()`` would truncate 2.7 to 2."""
+    entries = tuple(values)
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise ValueError(f"entries must be integers, got {entries!r}") from None
 
 
 def _factorial_product(exponent: Exponent) -> int:
@@ -154,15 +165,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, index: int) -> int:
-        """Max exponent of x_index across terms (0 for the zero polynomial)."""
-        if not 1 <= index <= self.arity:
-            raise ValueError(f"variable index {index} out of range 1..{self.arity}")
-        if not self.terms:
-            return 0
-        i = index - 1
-        return max(e[i] for e in self.terms)
-
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if mixed or zero."""
         degrees = {sum(e) for e in self.terms}
@@ -245,7 +247,7 @@ class Polynomial:
 
     def dualize(self, mu) -> "Polynomial":
         """Return x^mu * p(1/x1, ..., 1/xn); requires mu_i >= deg_{x_i}(p)."""
-        mu = tuple(mu)
+        mu = _int_entries(mu)
         if len(mu) != self.arity:
             raise ValueError(f"mu has length {len(mu)}, expected {self.arity}")
         for index in range(self.arity):

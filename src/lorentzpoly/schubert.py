@@ -27,7 +27,7 @@ as int coefficients per tuple of the interval.
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, normalize
+from .polynomials import Polynomial, _int_entries, normalize
 
 
 class Permutation:
@@ -36,7 +36,7 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, one_line):
-        one_line = tuple(int(v) for v in one_line)
+        one_line = _int_entries(one_line)
         n = len(one_line)
         if n == 0 or sorted(one_line) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {one_line}")
@@ -93,9 +93,6 @@ class Permutation:
             if line[i] > line[j]
         )
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.one_line))
-
     def swap_positions(self, i: int, j: int) -> "Permutation":
         """Right multiplication by the transposition of positions i < j."""
         line = list(self.one_line)
@@ -108,14 +105,6 @@ class Permutation:
             i + 1
             for i in range(len(self.one_line) - 1)
             if self.one_line[i] > self.one_line[i + 1]
-        ]
-
-    def ascents(self):
-        """Positions i with w(i) < w(i+1)."""
-        return [
-            i + 1
-            for i in range(len(self.one_line) - 1)
-            if self.one_line[i] < self.one_line[i + 1]
         ]
 
 
@@ -135,7 +124,7 @@ def lehmer_code(w: Permutation) -> tuple:
 
 def permutation_from_code(code) -> Permutation:
     """Inverse of ``lehmer_code``."""
-    code = list(code)
+    code = list(_int_entries(code))
     available = list(range(1, len(code) + 1))
     line = []
     for c in code:
@@ -151,7 +140,7 @@ def grassmannian_for(kappa, m: int, n: int) -> Permutation:
     It has at most one descent, located at position m, and its Schubert
     polynomial equals the Schur polynomial of kappa in x_1 .. x_m.
     """
-    parts = tuple(kappa.parts if hasattr(kappa, "parts") else kappa)
+    parts = _int_entries(kappa.parts if hasattr(kappa, "parts") else kappa)
     parts = parts + (0,) * (m - len(parts))
     if len(parts) > m:
         raise ValueError(f"kappa has more than {m} parts")
@@ -223,18 +212,29 @@ def staircase_monomial(n: int) -> Polynomial:
 def _descent_recursion(line: tuple, apply_op, top, cache):
     """Shared engine: at the smallest i with line[i-1] < line[i], apply_op
     to the result for line with positions i, i+1 swapped; a tuple with no
-    ascent gets top(line).  ``cache``, when given, maps tuples to results."""
-    if cache is not None and line in cache:
-        return cache[line]
-    for i in range(1, len(line)):
-        if line[i - 1] < line[i]:
-            swapped = line[: i - 1] + (line[i], line[i - 1]) + line[i + 1 :]
-            result = apply_op(_descent_recursion(swapped, apply_op, top, cache), i)
+    ascent gets top(line).  ``cache``, when given, maps tuples to results.
+
+    The swaps are climbed in a loop, up to the first tuple with a cached
+    result or no ascent, and the operators applied on the way back down,
+    so a tuple of any length needs no recursion depth."""
+    path = []  # (tuple, its smallest ascent), from ``line`` upward
+    while cache is None or line not in cache:
+        for i in range(1, len(line)):
+            if line[i - 1] < line[i]:
+                path.append((line, i))
+                line = line[: i - 1] + (line[i], line[i - 1]) + line[i + 1 :]
+                break
+        else:
+            result = top(line)
+            if cache is not None:
+                cache[line] = result
             break
     else:
-        result = top(line)
-    if cache is not None:
-        cache[line] = result
+        result = cache[line]
+    for line, i in reversed(path):
+        result = apply_op(result, i)
+        if cache is not None:
+            cache[line] = result
     return result
 
 
@@ -286,7 +286,7 @@ def key_polynomial(mu) -> Polynomial:
     i the operator d_i (x_i * .) applied to the key of mu with positions
     i, i+1 swapped gives the key of mu.
     """
-    mu = tuple(int(x) for x in mu)
+    mu = _int_entries(mu)
     if any(x < 0 for x in mu):
         raise ValueError("composition entries must be nonnegative")
     n = len(mu)

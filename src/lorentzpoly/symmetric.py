@@ -11,21 +11,21 @@ the cost is the number of monomials met on the way, not the number of
 tableaux.  A caller that builds many shapes passes a ``cache`` dict, which
 keeps every level below the one asked for (a sweep keeps one per family
 and empties it when the sweep ends).  Kostka numbers are the Schur rule
-read at one weight.  The tableau walks these replace live in ``oracles``
-as test-only cross-checks.
+read at one weight.  The tableau walks these replace live with the tests
+as cross-checks.
 
 Also here: the type A Kostant partition function K and the normalized
 truncated character of a universal highest-weight module, both read off
 one expansion on int counts: the product of geometric factors over the
 negative roots, each truncated at sum(delta), times x^delta, which drops
 no term of nonnegative exponent and has K(mu - delta) at x^mu.  The tests
-check K against a bounded knapsack over the roots, in ``oracles``.
+check K against a bounded knapsack over the roots.
 """
 
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, _factorial_product
+from .polynomials import Polynomial, _factorial_product, _int_entries
 
 
 class Partition:
@@ -34,7 +34,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = _int_entries(parts)
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 0:
@@ -96,7 +96,7 @@ class StrictPartition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = _int_entries(parts)
         if any(a <= b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be strictly decreasing, got {parts}")
         if parts and parts[-1] <= 0:
@@ -233,7 +233,7 @@ def kostka(lam, mu) -> int:
     ways of reaching the empty shape.
     """
     lam = _as_partition(lam)
-    mu = tuple(int(x) for x in mu)
+    mu = _int_entries(mu)
     if any(x < 0 for x in mu):
         return 0
     if lam.size() != sum(mu):
@@ -380,7 +380,7 @@ def kostant_partition(v) -> int:
     carries more units than there are paths), so the truncation of the
     expansion at |v-| loses nothing.
     """
-    v = tuple(int(x) for x in v)
+    v = _int_entries(v)
     if sum(v) != 0:
         return 0
     below = tuple(max(0, -x) for x in v)
@@ -397,7 +397,7 @@ def verma_truncated_normalized(delta) -> Polynomial:
     ``_kostant_counts``, and each becomes a Fraction once.  The result is
     homogeneous of degree sum(delta).
     """
-    delta = tuple(int(x) for x in delta)
+    delta = _int_entries(delta)
     if any(x < 0 for x in delta):
         raise ValueError("delta entries must be nonnegative")
     m = len(delta)

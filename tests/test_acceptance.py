@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from lorentzpoly import corpus, univariate
+from lorentzpoly import corpus
 from lorentzpoly.certify import (
     InertiaSignature,
     SymmetricMatrix,
@@ -25,11 +25,7 @@ from lorentzpoly.certify import (
     root_direction_violations,
     verify_certificate,
 )
-from lorentzpoly.oracles import (
-    characteristic_polynomial,
-    inertia_by_sturm_bracketing,
-    numeric_log_concavity_spot,
-)
+from lorentzpoly.oracles import inertia_by_sturm_bracketing
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,
@@ -59,6 +55,8 @@ from lorentzpoly.sweeps import (
     strict_partitions_within,
     subpartitions,
 )
+
+from second_routes import characteristic_polynomial, count_real_roots, numeric_log_concavity_spot
 
 
 def report(number, ok, detail):
@@ -217,7 +215,7 @@ def test_07_showcase_polynomial():
     specialized = generated.specialize({2: 1, 3: 1, 4: 1, 5: 1}) * 6
     target = Polynomial(5, {(3, 0, 0, 0, 0): 1, (2, 0, 0, 0, 0): 6, (1, 0, 0, 0, 0): 13})
     ok = ok and specialized == target
-    real_roots = univariate.count_real_roots([Fraction(13), Fraction(6), Fraction(1)])
+    real_roots = count_real_roots([Fraction(13), Fraction(6), Fraction(1)])
     ok = ok and real_roots == 0
     report(
         7,

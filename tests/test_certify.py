@@ -29,19 +29,20 @@ from lorentzpoly.certify import (
     root_direction_violations,
     verify_certificate,
 )
-from lorentzpoly.oracles import (
-    characteristic_polynomial,
-    discrete_root_log_concavity,
-    first_hessian_failure_by_derivatives,
-    inertia_by_char_poly,
-    inertia_by_sturm_bracketing,
-    numeric_log_concavity_spot,
-    root_direction_violations_by_lookup,
-)
+from lorentzpoly.oracles import inertia_by_sturm_bracketing
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import Permutation, schubert
 from lorentzpoly.symmetric import schur
 from lorentzpoly.sweeps import partitions_within
+
+from second_routes import (
+    characteristic_polynomial,
+    discrete_root_log_concavity,
+    first_hessian_failure_by_derivatives,
+    inertia_by_char_poly,
+    numeric_log_concavity_spot,
+    root_direction_violations_by_lookup,
+)
 
 
 def poly(text):
@@ -894,9 +895,20 @@ def test_reverse_order_is_sorted_index_order(alphas):
     assert sorted(alphas, reverse=True) == sorted(alphas, key=_multiset_indices)
 
 
+def _top_level_names(tree):
+    """Names that the module ``tree`` defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
 def test_hot_paths_use_the_integer_kernels():
-    # the char-poly sign count and the per-point lookup scan are oracles only
     package = pathlib.Path(lorentzpoly.__file__).parent
+    tests = pathlib.Path(__file__).resolve().parent
     names = {}
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -905,22 +917,41 @@ def test_hot_paths_use_the_integer_kernels():
                     getattr(sub, "id", None) or getattr(sub, "attr", None)
                     for sub in ast.walk(node)
                 }
-    production = set().union(
-        *(used | {function} for (module, function), used in names.items()
-          if module != "oracles.py")
-    )
-    assert "_signature_from_char_coeffs" not in production
     assert "coefficient" not in names["certify.py", "root_direction_violations"]
-    # Faddeev-LeVerrier, the per-point root check, the piece-by-piece
-    # parser and the Kostant knapsack are defined and named in oracles.py
-    # alone, not in another module or a demo
-    second_routes = re.compile(
-        r"\b(_char_poly_int|characteristic_polynomial|discrete_root_log_concavity"
-        r"|parse_polynomial_by_pieces|kostant_partition_by_knapsack|_kostant_ways)\b"
-    )
-    demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
-    for path in [*package.glob("*.py"), *demos.glob("*.py")]:
-        if path.name != "oracles.py":
-            assert not second_routes.search(path.read_text(encoding="utf-8")), path.name
     # the witness scan works on bit masks; _exchange_ok re-checks witnesses
     assert "_exchange_ok" not in names["certify.py", "_exchange_scan"]
+    # oracles.py defines the Sturm oracle and only the functions it calls
+    oracles = {function for module, function in names if module == "oracles.py"}
+    reached, queue = set(), ["inertia_by_sturm_bracketing"]
+    while queue:
+        function = queue.pop()
+        if function not in reached:
+            reached.add(function)
+            queue.extend(names["oracles.py", function] & oracles)
+    assert reached == oracles
+    # every other second route (Faddeev-LeVerrier, the tableau walks, the
+    # Kostant knapsack, the per-point root scan, the piece-by-piece parser
+    # and the rest) is defined once, in tests/second_routes.py: no module
+    # of the package, oracles.py included, and no demo defines or names one,
+    # and no other test module defines one again
+    second_routes = _top_level_names(ast.parse((tests / "second_routes.py").read_text()))
+    assert {"parse_polynomial_by_pieces", "kostant_partition_by_knapsack",
+            "_char_poly_int", "discrete_root_log_concavity"} <= second_routes
+    assert not second_routes & oracles
+    pattern = re.compile(r"\b(" + "|".join(sorted(second_routes)) + r")\b")
+    demos = tests.parent / "demos"
+    for path in [*package.glob("*.py"), *demos.glob("*.py")]:
+        found = pattern.search(path.read_text(encoding="utf-8"))
+        assert found is None, (path.name, found and found.group())
+    for path in tests.glob("test_*.py"):
+        defined = _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        assert not defined & second_routes, path.name
+
+
+def test_package_has_no_assert_statements():
+    # invariants must hold under python -O, which strips assert statements
+    package = pathlib.Path(lorentzpoly.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], (path.name, asserts)

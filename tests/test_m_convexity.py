@@ -3,7 +3,7 @@
 ``m_convex_failure`` decides through the rank function of the support's
 base polyhedron and scans pairs only for the witness, with
 ``certify._exchange_scan`` on bit masks of the moves within the set.  The
-slow oracle, ``oracles.exchange_scan_by_pairs``, builds and looks up the
+slow oracle, ``second_routes.exchange_scan_by_pairs``, builds and looks up the
 moved points of every pair.  All must give the same verdict and the same
 first witness on every input.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from lorentzpoly import certify
 from lorentzpoly.certify import m_convex_failure
-from lorentzpoly.oracles import exchange_scan_by_pairs
 from lorentzpoly.polynomials import normalize
 from lorentzpoly.sweeps import (
     FAMILIES,
@@ -25,6 +24,7 @@ from lorentzpoly.sweeps import (
 )
 from lorentzpoly.symmetric import schur
 
+from second_routes import exchange_scan_by_pairs
 from test_family_table import SWEEPS
 
 GENERATED = settings(max_examples=150, deadline=2000, derandomize=True, database=None)

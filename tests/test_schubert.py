@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import pytest
 
 from lorentzpoly.polynomials import Polynomial, parse_polynomial
-from lorentzpoly.oracles import degree_polynomial_by_levels, lower_covers_by_length
 from lorentzpoly.schubert import (
     Permutation,
     _covers_below,
@@ -28,6 +27,8 @@ from lorentzpoly.schubert import (
     staircase_monomial,
 )
 from lorentzpoly.symmetric import Partition, schur
+
+from second_routes import degree_polynomial_by_levels, lower_covers_by_length
 
 
 def poly(text):
@@ -61,6 +62,13 @@ class TestPermutation:
             Permutation.from_string("12345678910")
         ten = Permutation.from_string("1,2,3,4,5,6,7,8,9,10")
         assert ten == Permutation(range(1, 11))
+
+    def test_helpers_only_tests_called_are_gone(self):
+        # the tests compute ascents, the identity check and per-variable
+        # degrees inline
+        assert not hasattr(Permutation, "ascents")
+        assert not hasattr(Permutation, "is_identity")
+        assert not hasattr(Polynomial, "degree_in")
 
 
 class TestDividedDifference:
@@ -141,7 +149,7 @@ class TestSchubert:
     def test_path_independence(self):
         # recompute along the largest-ascent path instead of the smallest
         def schubert_largest_path(w):
-            ascents = w.ascents()
+            ascents = [i for i in range(1, w.n) if w(i) < w(i + 1)]
             if not ascents:
                 return staircase_monomial(w.n)
             i = ascents[-1]
@@ -158,6 +166,34 @@ class TestSchubert:
             assert s.homogeneous_degree() == w.length() or not s.terms
             for coeff in s.terms.values():
                 assert coeff.denominator == 1 and coeff > 0
+
+    def test_long_permutation_needs_no_recursion_depth(self):
+        # 2,1,3,...,50 is 1,224 swaps below w_0, more than the stack allows
+        # one frame each
+        w = Permutation((2, 1, *range(3, 51)))
+        x1 = Polynomial.variable(50, 1)
+        assert schubert(w) == x1
+        assert grothendieck(w) == x1
+        cache = {}
+        assert schubert(w, cache) == x1
+        assert len(cache) == Permutation.longest(50).length() - w.length() + 1
+
+    def test_cache_holds_the_climbed_path(self):
+        # each tuple from w up its smallest ascents to w_0 gets an entry
+        for w in all_permutations(4):
+            cache = {}
+            result = schubert(w, cache)
+            path, line = [], w.one_line
+            while True:
+                path.append(line)
+                ascent = next((i for i in range(1, len(line)) if line[i - 1] < line[i]), None)
+                if ascent is None:
+                    break
+                line = line[: ascent - 1] + (line[ascent], line[ascent - 1]) + line[ascent + 1 :]
+            assert set(cache) == set(path)
+            assert cache[w.one_line] == result
+            # a second call from a tuple on the path reads the cache
+            assert schubert(Permutation(path[-1]), cache) is cache[path[-1]]
 
 
 class TestSchubertDual:
@@ -185,7 +221,7 @@ class TestGrothendieck:
 
     def test_path_independence(self):
         def grothendieck_largest_path(w):
-            ascents = w.ascents()
+            ascents = [i for i in range(1, w.n) if w(i) < w(i + 1)]
             if not ascents:
                 return staircase_monomial(w.n)
             i = ascents[-1]
@@ -296,7 +332,7 @@ class TestDegreePolynomials:
     def test_degree_and_positivity(self):
         for w in all_permutations(4):
             d = degree_polynomial(w)
-            if w.is_identity():
+            if w == Permutation.identity(w.n):
                 continue
             assert d.homogeneous_degree() == w.length()
             assert all(c > 0 for c in d.terms.values())
@@ -304,7 +340,7 @@ class TestDegreePolynomials:
     def test_chain_counts_match_memoized_recursion(self):
         # plain DFS chain count against a cached bottom-up count
         def dfs_chains(u):
-            if u.is_identity():
+            if u == Permutation.identity(u.n):
                 return 1
             return sum(dfs_chains(lower) for lower, _, _ in lower_covers_by_length(u))
 

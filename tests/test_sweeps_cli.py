@@ -9,8 +9,13 @@ import pytest
 
 from lorentzpoly import corpus, sweeps
 from lorentzpoly.cli import MAX_SCAN_POINTS, _generate, build_parser, main
-from lorentzpoly.oracles import schur_p_by_marked_tableaux, skew_schur_by_tableaux
-from lorentzpoly.polynomials import MAX_PARSE_ARITY, format_polynomial, parse_polynomial
+from lorentzpoly.polynomials import (
+    MAX_PARSE_ARITY,
+    Polynomial,
+    format_polynomial,
+    parse_polynomial,
+)
+from lorentzpoly.schubert import Permutation, schubert_dual
 from lorentzpoly.sweeps import (
     FAMILY_TABLE,
     SweepBounds,
@@ -23,6 +28,8 @@ from lorentzpoly.sweeps import (
     subpartitions,
 )
 from lorentzpoly.symmetric import Partition, SkewShape
+
+from second_routes import schur_p_by_marked_tableaux, skew_schur_by_tableaux
 
 
 def lorentz(*args, stdin=None):
@@ -375,6 +382,46 @@ class TestCli:
         assert captured.err == (
             f"error: arity {MAX_PARSE_ARITY + 1} exceeds the limit of {MAX_PARSE_ARITY}\n"
         )
+
+    @pytest.mark.parametrize("family, expected", [
+        ("schubert", "vars: 50\nx1\n"),
+        ("grothendieck", "vars: 50\nx1\n"),
+        ("grothendieck_homog", "vars: 51\nx1\n"),
+        ("schubert_dual", None),
+    ])
+    def test_gen_long_permutation(self, family, expected, capsys):
+        # 2,1,3,...,50 is 1,224 swaps below w_0; the ascent recursion climbs
+        # them in a loop, not one stack frame per swap
+        line = (2, 1, *range(3, 51))
+        assert main(["gen", "--family", family, "--w", ",".join(map(str, line))]) == 0
+        captured = capsys.readouterr()
+        if expected is None:
+            expected = format_polynomial(schubert_dual(Permutation(line)))
+        assert (captured.out, captured.err) == (expected, "")
+
+    def test_gen_too_deep_exits_2(self, capsys):
+        # the degree polynomial recurses once per length, 1,225 here
+        w = ",".join(map(str, range(50, 0, -1)))
+        assert main(["gen", "--family", "degree", "--w", w]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: recursion too deep to build this polynomial\n"
+
+    def test_gen_names_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["gen", "--family", "schur", "--lambda", "1", "--vars", "1",
+                     "--scale", f"1e{limit}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: number with more than {limit} digits in a coefficient; the text "
+            f"format reads at most {limit} digits per number\n"
+        )
+        # one digit fewer prints, and certify reads it back
+        assert main(["gen", "--family", "schur", "--lambda", "1", "--vars", "1",
+                     "--scale", f"1e{limit - 1}"]) == 0
+        assert parse_polynomial(capsys.readouterr().out) == Polynomial.monomial(
+            1, (1,), 10 ** (limit - 1))
 
     def test_sweep_cli_json(self):
         result = lorentz(

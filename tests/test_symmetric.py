@@ -9,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorentzpoly.certify import is_m_convex
-from lorentzpoly.oracles import (
-    alternant,
-    kostant_partition_by_knapsack,
-    kostka_by_tableaux,
-    schur_p_by_marked_tableaux,
-    skew_schur_by_tableaux,
-)
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
+from lorentzpoly.schubert import (
+    Permutation,
+    grassmannian_for,
+    key_polynomial,
+    permutation_from_code,
+)
 from lorentzpoly.symmetric import (
     Partition,
     SkewShape,
@@ -31,6 +30,14 @@ from lorentzpoly.symmetric import (
     verma_truncated_normalized,
 )
 from lorentzpoly.sweeps import partitions_within
+
+from second_routes import (
+    alternant,
+    kostant_partition_by_knapsack,
+    kostka_by_tableaux,
+    schur_p_by_marked_tableaux,
+    skew_schur_by_tableaux,
+)
 
 
 def poly(text):
@@ -431,3 +438,23 @@ class TestComplement:
         lam = Partition((2, 1))
         kappa = complement_partition(lam, 2, 3)
         assert normalize(schur(lam, 2).dualize((3, 3))) == normalize(schur(kappa, 2))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Partition((2.7, 1)), id="Partition"),
+    pytest.param(lambda: Partition((Fraction(2), 1)), id="Partition-Fraction"),
+    pytest.param(lambda: StrictPartition((2.5, 1)), id="StrictPartition"),
+    pytest.param(lambda: Permutation((1.0, 2.0)), id="Permutation"),
+    pytest.param(lambda: key_polynomial((1.9, 0)), id="key_polynomial"),
+    pytest.param(lambda: verma_truncated_normalized((1.5, 0)), id="verma"),
+    pytest.param(lambda: kostant_partition((0.5, -0.5)), id="kostant_partition"),
+    pytest.param(lambda: kostka((2, 1), (1.5, 1.5)), id="kostka-weight"),
+    pytest.param(lambda: kostka((2.0, 1), (2, 1)), id="kostka-shape"),
+    pytest.param(lambda: grassmannian_for((1.5,), 1, 3), id="grassmannian_for"),
+    pytest.param(lambda: permutation_from_code((1.0, 0, 0)), id="permutation_from_code"),
+    pytest.param(lambda: Polynomial.monomial(2, (1, 0)).dualize((1.5, 1)), id="dualize"),
+])
+def test_non_integer_entries_are_refused(build):
+    # int() would truncate them; a ValueError makes the command line exit 2
+    with pytest.raises(ValueError, match="entries must be integers"):
+        build()

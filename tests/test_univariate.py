@@ -3,7 +3,9 @@ import pathlib
 from fractions import Fraction
 
 import lorentzpoly
-from lorentzpoly import univariate as uni
+from lorentzpoly import oracles as uni
+
+from second_routes import count_real_roots
 
 
 def F(*values):
@@ -12,12 +14,12 @@ def F(*values):
 
 def test_no_real_roots_for_positive_quadratic():
     # x^2 + 6x + 13 has negative discriminant
-    assert uni.count_real_roots(F(13, 6, 1)) == 0
+    assert count_real_roots(F(13, 6, 1)) == 0
 
 
 def test_two_real_roots():
     # (t - 1)(t + 2)
-    assert uni.count_real_roots(F(-2, 1, 1)) == 2
+    assert count_real_roots(F(-2, 1, 1)) == 2
 
 
 def test_interval_counting_is_half_open():
@@ -48,11 +50,14 @@ def test_exact_divide_round_trip():
 
 
 def test_only_oracles_imports_second_routes():
-    # production code and the demos have one route per question; univariate
-    # (Sturm chains) and the oracles module serve the tests, through
-    # oracles.py alone, and only oracles.py names the Kostant knapsack
+    # production code and the demos have one route per question: no module
+    # of the package or the demos imports the Sturm oracle, the test-side
+    # routes or any other module under tests/, and univariate is no module
     package = pathlib.Path(lorentzpoly.__file__).parent
-    demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
+    tests = pathlib.Path(__file__).resolve().parent
+    demos = tests.parent / "demos"
+    assert not (package / "univariate.py").exists()
+    forbidden = {"oracles", "univariate", "tests"} | {path.stem for path in tests.glob("*.py")}
     importers = set()
     for path in [*package.glob("*.py"), *demos.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -62,8 +67,6 @@ def test_only_oracles_imports_second_routes():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if any(name.split(".")[-1] in ("univariate", "oracles") for name in names):
+            if any(part in forbidden for name in names for part in name.split(".")):
                 importers.add(path.name)
-        if "kostant_partition_by_knapsack" in path.read_text(encoding="utf-8"):
-            importers.add(path.name)
-    assert importers == {"oracles.py"}
+    assert importers == set()
