@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from lorentzpoly.schubert import (
     staircase_monomial,
 )
 from lorentzpoly.symmetric import Partition, schur
+from lorentzpoly.sweeps import compositions_within
 
 from second_routes import degree_polynomial_by_levels, lower_covers_by_length
 
@@ -295,8 +297,6 @@ class TestKeyPolynomials:
 
     def test_matches_own_sorting_recursion(self):
         # reference: the sort toward a partition written out on its own, 0-based
-        from lorentzpoly.sweeps import compositions_within
-
         def build(comp):
             n = len(comp)
             for i in range(n - 1):
@@ -310,6 +310,28 @@ class TestKeyPolynomials:
         assert len(compositions) == 126
         for mu in compositions:
             assert key_polynomial(mu) == build(mu), mu
+
+
+def test_generators_are_pinned():
+    # sha256 of every term map, insertion order included: the order decides
+    # which root-direction violation an inequality sweep reports first.  The
+    # caches are shared the way a sweep shares them.
+    digest = hashlib.sha256()
+    schubert_cache, grothendieck_cache = {}, {}
+    for w in all_permutations(5):
+        for p in (
+            schubert(w, schubert_cache),
+            schubert_dual(w, schubert_cache),
+            grothendieck(w, grothendieck_cache),
+            homogeneous_grothendieck(w, grothendieck_cache),
+        ):
+            digest.update(repr((p.arity, list(p.terms.items()))).encode())
+    for mu in compositions_within(5, 4):
+        p = key_polynomial(mu)
+        digest.update(repr((p.arity, list(p.terms.items()))).encode())
+    assert digest.hexdigest() == (
+        "d6d22188b2dad4832071e411526f62223b16511b4a4a2f1cd361f6edaccc34c1"
+    )
 
 
 class TestDegreePolynomials:
