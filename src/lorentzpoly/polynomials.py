@@ -62,6 +62,16 @@ def _int_entries(values) -> tuple:
         raise ValueError(f"entries must be integers, got {entries!r}") from None
 
 
+def _int_count(value, name: str) -> int:
+    """A scalar argument such as an arity or a degree as an int, refusing a
+    value that is not an integer, which would give an arity of 2.5 or a
+    degree no exponent reaches."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _factorial_product(exponent: Exponent) -> int:
     prod = 1
     for e in exponent:
@@ -80,6 +90,7 @@ class Polynomial:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms=None):
+        arity = _int_count(arity, "arity")
         if arity < 1:
             raise ValueError(f"arity must be positive, got {arity}")
         canonical: dict[Exponent, Fraction] = {}
@@ -123,11 +134,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
+        arity = _int_count(arity, "arity")
         return cls(arity, {(0,) * arity: _rational(value)})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "Polynomial":
         """The polynomial x_index (index is 1-based)."""
+        arity = _int_count(arity, "arity")
+        index = _int_count(index, "index")
         if not 1 <= index <= arity:
             raise ValueError(f"variable index {index} out of range 1..{arity}")
         exponent = [0] * arity
@@ -265,6 +279,7 @@ class Polynomial:
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """Sum of the terms of total degree exactly ``degree``."""
+        degree = _int_count(degree, "degree")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         out = {e: c for e, c in self.terms.items() if sum(e) == degree}
@@ -330,6 +345,7 @@ class Polynomial:
 
     def with_arity(self, arity: int) -> "Polynomial":
         """Embed into a larger variable set by zero-padding exponents."""
+        arity = _int_count(arity, "arity")
         if arity < self.arity:
             raise ValueError(f"cannot shrink arity {self.arity} to {arity}")
         pad = (0,) * (arity - self.arity)

@@ -5,10 +5,10 @@ a tuple: at its smallest ascent i the polynomial is op_i of the polynomial
 of the tuple with positions i, i+1 swapped, and a tuple with no ascent
 gets a top polynomial.  Schubert polynomials apply divided differences
 d_i to one-line notation from the staircase monomial; Grothendieck
-polynomials the isobaric pi_i = d_i - d_i (x_{i+1} * .) from the same
-top; key polynomials d_i (x_i * .) to a composition, from x^mu at a
-partition.  The recursion is deterministic and path-independent, which
-the tests verify directly.
+polynomials the isobaric pi_i = d_i((1 - x_{i+1}) .) from the same top;
+key polynomials d_i (x_i * .) to a composition, from x^mu at a partition.
+The recursion is deterministic and path-independent, which the tests
+verify directly.
 
 Each d_i is computed term by term from its value on a monomial
 (Macdonald, Notes on Schubert polynomials, ch. II): with a and b the
@@ -16,6 +16,16 @@ powers of x_i and x_{i+1}, d_i x_i^a x_{i+1}^b is the sum of
 x_i^k x_{i+1}^(a+b-1-k) over b <= k < a when a > b, minus the same sum
 with a and b exchanged when a < b, and 0 when a = b; the other variables
 factor out.
+
+All three families have integer coefficients, so the recursion runs on
+term maps {exponent: int}.  Multiplying by x_{i+1} or x_i shifts every
+exponent, so pi_i is one shift and one subtraction on the map before d_i,
+and the key operator a shift before d_i; no step builds a Polynomial.
+A memo passed as ``cache`` maps each tuple on the climbed path to its int
+map, and each generator makes one Fraction per term of its result, so no
+int reaches a Polynomial.  The maps keep the insertion order of the
+Polynomial operators they replace, which fixes the order of every report
+line that follows the terms.
 
 Degree polynomials sum, over saturated chains of the Bruhat order, the
 product of the linear forms x_i + ... + x_{j-1} attached to each cover by
@@ -27,7 +37,7 @@ as int coefficients per tuple of the interval.
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, _int_entries, normalize
+from .polynomials import Polynomial, _factorial_product, _int_count, _int_entries
 
 
 class Permutation:
@@ -48,11 +58,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls(range(1, _int_count(n, "n") + 1))
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
-        return cls(range(n, 0, -1))
+        return cls(range(_int_count(n, "n"), 0, -1))
 
     @classmethod
     def from_string(cls, text: str) -> "Permutation":
@@ -109,7 +119,7 @@ class Permutation:
 
 
 def all_permutations(n: int):
-    for line in itertools.permutations(range(1, n + 1)):
+    for line in itertools.permutations(range(1, _int_count(n, "n") + 1)):
         yield Permutation(line)
 
 
@@ -141,6 +151,7 @@ def grassmannian_for(kappa, m: int, n: int) -> Permutation:
     polynomial equals the Schur polynomial of kappa in x_1 .. x_m.
     """
     parts = _int_entries(kappa.parts if hasattr(kappa, "parts") else kappa)
+    m, n = _int_count(m, "m"), _int_count(n, "n")
     parts = parts + (0,) * (m - len(parts))
     if len(parts) > m:
         raise ValueError(f"kappa has more than {m} parts")
@@ -170,19 +181,21 @@ def avoids_pattern(w: Permutation, pattern: Permutation) -> bool:
 
 
 # -- operator machinery --------------------------------------------------
+#
+# The operators act on term maps {exponent: coefficient}.  The ascent
+# recursion passes int maps; the public operators pass the Fraction maps of
+# their Polynomial arguments through the same code.
 
 
-def divided_difference(poly: Polynomial, i: int) -> Polynomial:
-    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1}), term by term.
+def _divided_terms(terms: dict, i: int) -> dict:
+    """d_i of a term map, term by term, with zero sums dropped.
 
     A term c x^e with a = e_i and b = e_{i+1} gives +-c times the sum of
     x_i^k x_{i+1}^(a+b-1-k) over min(a, b) <= k < max(a, b), the rest of
     the monomial unchanged: + when a > b, - when a < b, nothing when a = b.
     """
-    if not 1 <= i < poly.arity:
-        raise ValueError(f"index {i} out of range 1..{poly.arity - 1}")
     out = {}
-    for exponent, coeff in poly.terms.items():
+    for exponent, coeff in terms.items():
         a, b = exponent[i - 1], exponent[i]
         if a == b:
             continue
@@ -193,19 +206,51 @@ def divided_difference(poly: Polynomial, i: int) -> Polynomial:
             key = head + (k, a + b - 1 - k) + tail
             previous = out.get(key)
             out[key] = coeff if previous is None else previous + coeff
-    return Polynomial._raw(poly.arity, {e: c for e, c in out.items() if c})
+    return {e: c for e, c in out.items() if c}
+
+
+def _pi_terms(terms: dict, i: int) -> dict:
+    """pi_i of a term map: d_i of (1 - x_{i+1}) times it, where the product
+    is each term shifted by x_{i+1} and subtracted from the map."""
+    lowered = dict(terms)
+    for exponent, coeff in terms.items():
+        key = exponent[:i] + (exponent[i] + 1,) + exponent[i + 1 :]
+        acc = lowered.get(key, 0) - coeff
+        if acc:
+            lowered[key] = acc
+        else:
+            del lowered[key]
+    return _divided_terms(lowered, i)
+
+
+def _key_terms(terms: dict, i: int) -> dict:
+    """d_i of x_i times a term map; the product is a shift of each term."""
+    j = i - 1
+    return _divided_terms(
+        {e[:j] + (e[j] + 1,) + e[i:]: c for e, c in terms.items()}, i
+    )
+
+
+def _check_index(poly: Polynomial, i: int):
+    if not 1 <= i < poly.arity:
+        raise ValueError(f"index {i} out of range 1..{poly.arity - 1}")
+
+
+def divided_difference(poly: Polynomial, i: int) -> Polynomial:
+    """(p - p with x_i, x_{i+1} swapped) / (x_i - x_{i+1})."""
+    _check_index(poly, i)
+    return Polynomial._raw(poly.arity, _divided_terms(poly.terms, i))
 
 
 def demazure_pi(poly: Polynomial, i: int) -> Polynomial:
-    """Isobaric operator pi_i p = d_i(p) - d_i(x_{i+1} p)."""
-    if not 1 <= i < poly.arity:
-        raise ValueError(f"index {i} out of range 1..{poly.arity - 1}")
-    shifted = Polynomial.variable(poly.arity, i + 1) * poly
-    return divided_difference(poly, i) - divided_difference(shifted, i)
+    """Isobaric operator pi_i p = d_i((1 - x_{i+1}) p)."""
+    _check_index(poly, i)
+    return Polynomial._raw(poly.arity, _pi_terms(poly.terms, i))
 
 
 def staircase_monomial(n: int) -> Polynomial:
     """x_1^{n-1} x_2^{n-2} ... x_{n-1}."""
+    n = _int_count(n, "n")
     return Polynomial.monomial(n, tuple(range(n - 1, -1, -1)))
 
 
@@ -238,26 +283,54 @@ def _descent_recursion(line: tuple, apply_op, top, cache):
     return result
 
 
+def _staircase_terms(line: tuple) -> dict:
+    n = len(line)
+    return {tuple(range(n - 1, -1, -1)): 1}
+
+
+def _schubert_terms(w: Permutation, cache) -> dict:
+    return _descent_recursion(w.one_line, _divided_terms, _staircase_terms, cache)
+
+
+def _grothendieck_terms(w: Permutation, cache) -> dict:
+    return _descent_recursion(w.one_line, _pi_terms, _staircase_terms, cache)
+
+
+# The Fractions of small ints, shared by every term that carries one
+_SMALL_FRACTIONS = {c: Fraction(c) for c in range(-256, 257)}
+
+
+def _polynomial(arity: int, terms: dict) -> Polynomial:
+    """The Polynomial of an int term map, one Fraction per term."""
+    small = _SMALL_FRACTIONS
+    return Polynomial._raw(arity, {e: small.get(c) or Fraction(c) for e, c in terms.items()})
+
+
 def schubert(w: Permutation, cache: dict | None = None) -> Polynomial:
     """Schubert polynomial of w, via divided differences from the staircase."""
-    top = staircase_monomial(w.n)
-    return _descent_recursion(w.one_line, divided_difference, lambda _: top, cache)
+    return _polynomial(w.n, _schubert_terms(w, cache))
 
 
 def grothendieck(w: Permutation, cache: dict | None = None) -> Polynomial:
     """Grothendieck polynomial of w, via isobaric operators from the staircase."""
-    top = staircase_monomial(w.n)
-    return _descent_recursion(w.one_line, demazure_pi, lambda _: top, cache)
+    return _polynomial(w.n, _grothendieck_terms(w, cache))
 
 
 def schubert_dual(w: Permutation, cache: dict | None = None) -> Polynomial:
-    """Normalized reflection x^(n-1,...,n-1) * S_w(1/x), then normalize."""
-    n = w.n
-    return normalize(schubert(w, cache).dualize((n - 1,) * n))
+    """Normalized reflection: c/mu! at mu = (n-1, ..., n-1) - e for each term
+    c x^e of S_w.  The degree of S_w in x_i is at most n - i, so every mu is
+    nonnegative."""
+    top = w.n - 1
+    terms = {}
+    for exponent, coeff in _schubert_terms(w, cache).items():
+        mu = tuple(top - e for e in exponent)
+        terms[mu] = Fraction(coeff, _factorial_product(mu))
+    return Polynomial._raw(w.n, terms)
 
 
 def grothendieck_component(w: Permutation, k: int) -> Polynomial:
     """Homogeneous piece of the Grothendieck polynomial in degree l(w) + k."""
+    k = _int_count(k, "k")
     if k < 0:
         raise ValueError("component index must be nonnegative")
     return grothendieck(w).homogeneous_component(w.length() + k)
@@ -270,13 +343,14 @@ def homogeneous_grothendieck(w: Permutation, cache: dict | None = None) -> Polyn
     the Grothendieck polynomial and l the length of w, so every term of the
     alternating sum reaches total degree d.
     """
-    g = grothendieck(w, cache)
+    g = _grothendieck_terms(w, cache)
     ell = w.length()
-    d = g.total_degree()
-    terms = {
-        e + (d - sum(e),): -c if (sum(e) - ell) % 2 else c for e, c in g.terms.items()
-    }
-    return Polynomial._raw(w.n + 1, terms)
+    d = max(map(sum, g))
+    terms = {}
+    for e, c in g.items():
+        size = sum(e)
+        terms[e + (d - size,)] = -c if (size - ell) % 2 else c
+    return _polynomial(w.n + 1, terms)
 
 
 def key_polynomial(mu) -> Polynomial:
@@ -289,14 +363,9 @@ def key_polynomial(mu) -> Polynomial:
     mu = _int_entries(mu)
     if any(x < 0 for x in mu):
         raise ValueError("composition entries must be nonnegative")
-    n = len(mu)
-    if n == 0:
+    if not mu:
         raise ValueError("empty composition")
-
-    def op(poly, i):
-        return divided_difference(Polynomial.variable(n, i) * poly, i)
-
-    return _descent_recursion(mu, op, lambda top: Polynomial.monomial(n, top), None)
+    return _polynomial(len(mu), _descent_recursion(mu, _key_terms, lambda top: {top: 1}, None))
 
 
 def _covers_below(line: tuple):
@@ -334,5 +403,4 @@ def degree_polynomial(w: Permutation) -> Polynomial:
     product of Chevalley multiplicities; a polynomial in n - 1 variables
     (one variable when n = 1, where the only chain is empty)."""
     arity = max(1, w.n - 1)
-    terms = _chain_sum(w.one_line, arity, {})
-    return Polynomial._raw(arity, {e: Fraction(c) for e, c in terms.items()})
+    return _polynomial(arity, _chain_sum(w.one_line, arity, {}))

@@ -25,7 +25,7 @@ check K against a bounded knapsack over the roots.
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, _factorial_product, _int_entries
+from .polynomials import Polynomial, _factorial_product, _int_count, _int_entries
 
 
 class Partition:
@@ -218,6 +218,7 @@ def skew_schur(shape: SkewShape, m: int, cache: dict | None = None) -> Polynomia
     I (5.11)).  ``cache`` keeps the entries below level m, keyed
     ``(mu, nu, k)``; ``schur`` shares them.
     """
+    m = _int_count(m, "m")
     if m < 1:
         raise ValueError("need at least one variable")
     nu = shape.inner.parts
@@ -251,6 +252,7 @@ def kostka(lam, mu) -> int:
 
 def complete_homogeneous(k: int, m: int) -> Polynomial:
     """Sum of all degree-k monomials in m variables."""
+    k, m = _int_count(k, "k"), _int_count(m, "m")
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if m < 1:
@@ -267,6 +269,7 @@ def complete_homogeneous(k: int, m: int) -> Polynomial:
 def complement_partition(lam, m: int, ell: int) -> Partition:
     """Complement of ``lam`` inside the m x ell box: kappa_i = ell - lam_{m+1-i}."""
     lam = _as_partition(lam)
+    m, ell = _int_count(m, "m"), _int_count(ell, "ell")
     if len(lam) > m:
         raise ValueError(f"{lam!r} has more than {m} parts")
     if lam.part(1) > ell:
@@ -311,6 +314,7 @@ def schur_p(lam, m: int, cache: dict | None = None) -> Polynomial:
     III sections 5 and 8).  ``cache`` keeps the entries below level m,
     keyed ``(mu, k)``.
     """
+    m = _int_count(m, "m")
     if m < 1:
         raise ValueError("need at least one variable")
     if not isinstance(lam, StrictPartition):

@@ -18,7 +18,10 @@ the first Hessian failure by differentiating along each derivative
 multiset, with no symmetry reduction (versus one pass over the terms, one
 multiset per symmetry orbit), the Kostant partition function by a bounded
 knapsack over the negative roots (versus one truncated product expansion
-on int counts, shared with the Verma character), degree polynomials from
+on int counts, shared with the Verma character), the isobaric operator
+pi_i as d_i(p) - d_i(x_{i+1} p) in ``Polynomial`` arithmetic (versus one
+shift and one subtraction on the term map before a single d_i), degree
+polynomials from
 Bruhat covers found by comparing lengths, summed upward through the
 interval one length at a time with ``Polynomial`` linear forms (versus
 covers read off the one-line entries and a memoized recursion down from w
@@ -66,7 +69,7 @@ from lorentzpoly.polynomials import (
     _long_number,
     _rational,
 )
-from lorentzpoly.schubert import Permutation
+from lorentzpoly.schubert import Permutation, divided_difference
 from lorentzpoly.symmetric import Partition, SkewShape, StrictPartition, _negative_roots
 
 
@@ -317,6 +320,16 @@ def schur_p_by_marked_tableaux(lam, m: int) -> Polynomial:
 
     place(0)
     return Polynomial(m, {w: Fraction(c) for w, c in terms.items()})
+
+
+# -- permutation families ----------------------------------------------------
+
+
+def demazure_pi_by_product(poly: Polynomial, i: int) -> Polynomial:
+    """pi_i p = d_i(p) - d_i(x_{i+1} p), with x_{i+1} p a ``Polynomial``
+    product and the two images subtracted as polynomials."""
+    shifted = Polynomial.variable(poly.arity, i + 1) * poly
+    return divided_difference(poly, i) - divided_difference(shifted, i)
 
 
 # -- degree polynomials ------------------------------------------------------

@@ -1,6 +1,8 @@
 """Every family through ``FAMILY_TABLE``: instance counts, failing
 instances, and ``lorentz gen`` against the sweep's own generator."""
 
+from fractions import Fraction
+
 import pytest
 
 from lorentzpoly.certify import lorentzian_certify
@@ -62,6 +64,18 @@ def test_certify_matches_normalize_then_certify(family):
             expected = normalize(target) if entry.normalize else target
             got = lorentzian_certify(target, normalize=entry.normalize)
             assert got.to_dict() == lorentzian_certify(expected).to_dict(), (instance_id, label)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_give_fraction_coefficients(family):
+    # generators may count on ints inside, but no int reaches a Polynomial:
+    # quadratic_form_matrix halves coefficients, which makes a float of an int
+    bounds, _ = SWEEPS[family]
+    entry = FAMILY_TABLE[family]
+    for instance_id, payload in _instances(SweepSpec(family, "certify", bounds)):
+        raw = entry.generate(payload)
+        for label, target in [("raw", raw), *entry.targets(payload, raw)]:
+            assert all(type(c) is Fraction for c in target.terms.values()), (instance_id, label)
 
 
 def _flag_text(flag, value):

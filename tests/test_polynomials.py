@@ -49,6 +49,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Polynomial(2, {(1, 0, 0): 1})
 
+    def test_non_integer_arity_rejected(self):
+        with pytest.raises(ValueError, match=r"arity must be an integer, got 2\.5"):
+            Polynomial(2.5, {})
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(2, {(-1, 0): 1})

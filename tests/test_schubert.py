@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import random
 from fractions import Fraction
 
@@ -30,7 +31,14 @@ from lorentzpoly.schubert import (
 from lorentzpoly.symmetric import Partition, schur
 from lorentzpoly.sweeps import compositions_within
 
-from second_routes import degree_polynomial_by_levels, lower_covers_by_length
+from second_routes import (
+    degree_polynomial_by_levels,
+    demazure_pi_by_product,
+    lower_covers_by_length,
+)
+
+# the package exports a function of the same name
+schubert_module = importlib.import_module("lorentzpoly.schubert")
 
 
 def poly(text):
@@ -116,6 +124,38 @@ def test_divided_difference_matches_its_definition(p):
             divided_difference(p, i)
 
 
+@st.composite
+def int_term_maps(draw):
+    """(arity, map): arity 2-5, total degree at most 6, nonzero int
+    coefficients of both signs, as the ascent recursion carries them."""
+    arity = draw(st.integers(2, 5))
+    exponents = st.lists(st.integers(0, arity - 1), max_size=6).map(
+        lambda factors: tuple(factors.count(k) for k in range(arity))
+    )
+    coeffs = st.integers(-30, 30).filter(bool)
+    return arity, draw(st.dictionaries(exponents, coeffs, max_size=8))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(int_term_maps())
+def test_map_operators_match_their_polynomial_definitions(drawn):
+    arity, terms = drawn
+    p = Polynomial(arity, terms)
+    for i in range(1, arity):
+        images = (
+            (schubert_module._divided_terms(terms, i), divided_difference(p, i)),
+            (schubert_module._pi_terms(terms, i), demazure_pi_by_product(p, i)),
+            (
+                schubert_module._key_terms(terms, i),
+                divided_difference(Polynomial.variable(arity, i) * p, i),
+            ),
+        )
+        for image, expected in images:
+            assert image == expected.terms
+            assert all(type(c) is int and c for c in image.values())
+        assert demazure_pi(p, i) == demazure_pi_by_product(p, i)
+
+
 class TestDemazurePi:
     def test_on_first_variable(self):
         assert demazure_pi(Polynomial.variable(2, 1), 1) == Polynomial.constant(2, 1)
@@ -180,10 +220,20 @@ class TestSchubert:
         assert schubert(w, cache) == x1
         assert len(cache) == Permutation.longest(50).length() - w.length() + 1
 
-    def test_cache_holds_the_climbed_path(self):
-        # each tuple from w up its smallest ascents to w_0 gets an entry
+    def test_cache_holds_the_climbed_path(self, monkeypatch):
+        # each tuple from w up its smallest ascents to w_0 gets an entry: the
+        # int term map of its polynomial
+        applied = []
+        divided_terms = schubert_module._divided_terms
+
+        def counted(terms, i):
+            applied.append(i)
+            return divided_terms(terms, i)
+
+        monkeypatch.setattr(schubert_module, "_divided_terms", counted)
         for w in all_permutations(4):
             cache = {}
+            applied.clear()
             result = schubert(w, cache)
             path, line = [], w.one_line
             while True:
@@ -193,9 +243,14 @@ class TestSchubert:
                     break
                 line = line[: ascent - 1] + (line[ascent], line[ascent - 1]) + line[ascent + 1 :]
             assert set(cache) == set(path)
-            assert cache[w.one_line] == result
-            # a second call from a tuple on the path reads the cache
-            assert schubert(Permutation(path[-1]), cache) is cache[path[-1]]
+            assert len(applied) == len(path) - 1
+            assert cache[w.one_line] == result.terms
+            assert all(type(c) is int for terms in cache.values() for c in terms.values())
+            # a second call from a tuple on the path applies no operator
+            applied.clear()
+            for line in path:
+                assert schubert(Permutation(line), cache).terms == cache[line]
+            assert applied == []
 
 
 class TestSchubertDual:
@@ -246,6 +301,10 @@ class TestGrothendieck:
                 component = g.homogeneous_component(ell + k)
                 for coeff in component.terms.values():
                     assert coeff * (-1) ** k > 0
+
+    def test_non_integer_component_rejected(self):
+        with pytest.raises(ValueError, match=r"k must be an integer, got 0\.5"):
+            grothendieck_component(Permutation((1, 3, 2)), 0.5)
 
     def test_out_of_range_component_is_zero(self):
         w = Permutation((1, 3, 2))

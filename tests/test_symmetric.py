@@ -12,9 +12,11 @@ from lorentzpoly.certify import is_m_convex
 from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,
+    all_permutations,
     grassmannian_for,
     key_polynomial,
     permutation_from_code,
+    staircase_monomial,
 )
 from lorentzpoly.symmetric import (
     Partition,
@@ -457,4 +459,36 @@ class TestComplement:
 def test_non_integer_entries_are_refused(build):
     # int() would truncate them; a ValueError makes the command line exit 2
     with pytest.raises(ValueError, match="entries must be integers"):
+        build()
+
+
+def test_non_integer_variable_count_is_refused():
+    with pytest.raises(ValueError, match=r"m must be an integer, got 2\.0"):
+        schur(Partition((1,)), 2.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Polynomial.zero(2.0), id="zero"),
+    pytest.param(lambda: Polynomial.constant(1.5, 1), id="constant"),
+    pytest.param(lambda: Polynomial.variable(2.0, 1), id="variable-arity"),
+    pytest.param(lambda: Polynomial.variable(2, 1.0), id="variable-index"),
+    pytest.param(lambda: Polynomial.zero(2).with_arity(3.0), id="with_arity"),
+    pytest.param(lambda: Polynomial.zero(2).homogeneous_component(0.5), id="component"),
+    pytest.param(lambda: Permutation.identity(3.0), id="identity"),
+    pytest.param(lambda: Permutation.longest(3.0), id="longest"),
+    pytest.param(lambda: list(all_permutations(2.0)), id="all_permutations"),
+    pytest.param(lambda: staircase_monomial(3.0), id="staircase_monomial"),
+    pytest.param(lambda: grassmannian_for((1,), 1.0, 3), id="grassmannian_for-m"),
+    pytest.param(lambda: grassmannian_for((1,), 1, 3.0), id="grassmannian_for-n"),
+    pytest.param(lambda: skew_schur(SkewShape(Partition((2,)), Partition((1,))), 2.0),
+                 id="skew_schur"),
+    pytest.param(lambda: schur_p((2, 1), 2.0), id="schur_p"),
+    pytest.param(lambda: complete_homogeneous(2.0, 2), id="complete_homogeneous-k"),
+    pytest.param(lambda: complete_homogeneous(2, 2.0), id="complete_homogeneous-m"),
+    pytest.param(lambda: complement_partition((1,), 2.0, 3), id="complement_partition-m"),
+    pytest.param(lambda: complement_partition((1,), 2, 3.0), id="complement_partition-ell"),
+])
+def test_non_integer_counts_are_refused(build):
+    # a count is read like an entry: ValueError, naming the argument
+    with pytest.raises(ValueError, match="must be an integer"):
         build()
