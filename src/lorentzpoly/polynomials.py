@@ -239,6 +239,7 @@ class Polynomial:
 
     def partial_derivative(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to x_index (1-based)."""
+        index = _int_count(index, "index")
         if not 1 <= index <= self.arity:
             raise ValueError(f"variable index {index} out of range 1..{self.arity}")
         i = index - 1

@@ -13,6 +13,8 @@ from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,
     all_permutations,
+    demazure_pi,
+    divided_difference,
     grassmannian_for,
     key_polynomial,
     permutation_from_code,
@@ -473,6 +475,9 @@ def test_non_integer_variable_count_is_refused():
     pytest.param(lambda: Polynomial.variable(2.0, 1), id="variable-arity"),
     pytest.param(lambda: Polynomial.variable(2, 1.0), id="variable-index"),
     pytest.param(lambda: Polynomial.zero(2).with_arity(3.0), id="with_arity"),
+    pytest.param(lambda: Polynomial.zero(2).partial_derivative(1.0), id="partial_derivative"),
+    pytest.param(lambda: divided_difference(Polynomial.zero(2), 1.0), id="divided_difference"),
+    pytest.param(lambda: demazure_pi(Polynomial.zero(2), 1.0), id="demazure_pi"),
     pytest.param(lambda: Polynomial.zero(2).homogeneous_component(0.5), id="component"),
     pytest.param(lambda: Permutation.identity(3.0), id="identity"),
     pytest.param(lambda: Permutation.longest(3.0), id="longest"),
