@@ -142,16 +142,17 @@ def test_map_operators_match_their_polynomial_definitions(drawn):
     arity, terms = drawn
     p = Polynomial(arity, terms)
     for i in range(1, arity):
-        images = (
-            (schubert_module._divided_terms(terms, i), divided_difference(p, i)),
-            (schubert_module._pi_terms(terms, i), demazure_pi_by_product(p, i)),
-            (
-                schubert_module._key_terms(terms, i),
-                divided_difference(Polynomial.variable(arity, i) * p, i),
-            ),
-        )
-        for image, expected in images:
-            assert image == expected.terms
+        swap = {i: f"x{i + 1}", i + 1: f"x{i}"}
+        difference = Polynomial.variable(arity, i) - Polynomial.variable(arity, i + 1)
+        shifted = Polynomial.variable(arity, i) * p
+        divided = schubert_module._divided_terms(terms, i)
+        key = schubert_module._key_terms(terms, i)
+        pi = schubert_module._pi_terms(terms, i)
+        # (x_i - x_{i+1}) d_i q = q - s_i q, for q = p and for q = x_i p
+        assert difference * Polynomial(arity, divided) == p - p.specialize(swap)
+        assert difference * Polynomial(arity, key) == shifted - shifted.specialize(swap)
+        assert pi == demazure_pi_by_product(p, i).terms
+        for image in (divided, key, pi):
             assert all(type(c) is int and c for c in image.values())
         assert demazure_pi(p, i) == demazure_pi_by_product(p, i)
 
