@@ -99,6 +99,17 @@ keeps every inertia; a positive multiple of a Lorentzian polynomial is
 Lorentzian (Branden-Huh, Lorentzian polynomials, 2020).  The certificate
 of N(p), witness included, is therefore read off these integers.
 
+A certificate is a function of the arity and the certified integer map
+alone.  Past the homogeneity check, the certifier reads nothing else: the
+signs and the negative witness come from the map, the support is its set of
+keys, the degree is the sum of any key, and the tied pairs and every Hessian
+are read off its terms.  Two targets with equal (arity, map) pairs, such as
+a skew Schur polynomial and its translate or half-turn, or a raw target and
+a normalized one whose integers agree, therefore get equal certificates,
+witnesses included, and a sweep may certify such a pair once.  The key of a
+map is exact and ignores the order of its terms: its exponents in sorted
+order, one byte per coordinate, then their integers.
+
 Log-concavity along a root direction e_i - e_j fails at mu when c(mu)^2 <
 c(mu + e_i - e_j) c(mu - e_i + e_j).  A square is never negative, so the
 product on the right is positive and both neighbours of mu are terms.
@@ -110,6 +121,7 @@ are met, is built only for a direction that has one.
 """
 
 import itertools
+import marshal
 import math
 import operator
 from dataclasses import dataclass
@@ -522,8 +534,8 @@ class LorentzCertificate:
         }
 
 
-def _failure_certificate(poly, degree, checks, failure):
-    return LorentzCertificate(NOT_LORENTZIAN, poly.arity, degree, tuple(checks), failure)
+def _failure_certificate(arity, degree, checks, failure):
+    return LorentzCertificate(NOT_LORENTZIAN, arity, degree, tuple(checks), failure)
 
 
 def _scaled_coefficients(poly: Polynomial) -> dict:
@@ -589,41 +601,64 @@ def _certified_coefficients(poly: Polynomial, degree, normalize: bool) -> dict:
     }
 
 
-def lorentzian_certify(poly: Polynomial, *, normalize: bool = False) -> LorentzCertificate:
+def _certificate_key(arity: int, coeffs: dict) -> bytes:
+    """An exact key of (arity, ``coeffs``) that ignores insertion order: the
+    exponents in sorted order, one byte per coordinate, and their ints.
+
+    Every coordinate must be below 256.  Version 2 of ``marshal`` writes
+    no back-references, so equal values always give equal bytes.
+    """
+    exponents = sorted(coeffs)
+    packed = bytes(itertools.chain.from_iterable(exponents))
+    return marshal.dumps((arity, packed, [coeffs[e] for e in exponents]), 2)
+
+
+def lorentzian_certify(
+    poly: Polynomial, *, normalize: bool = False, cache: Optional[dict] = None
+) -> LorentzCertificate:
     """Decide the Lorentzian property with a re-checkable witness on failure.
 
     Checks run in order: homogeneity, coefficient signs, M-convexity of the
     support, then the spectrum of every order-(d-2) derivative quadratic
     form.  The first failing multiset in lexicographic order is reported.
     With ``normalize`` set, the certificate is that of ``normalize(poly)``,
-    read off the integer terms d! N(poly) without building N(poly).
+    read off the integer terms d! N(poly) without building N(poly).  A
+    ``cache`` dict keeps each certificate under its arity and certified
+    integer map, and a target with an equal key is answered from it; a
+    target of degree 256 or more is certified without it.
     """
-    checks = []
     degrees = sorted({sum(e) for e in poly.terms})
     if len(degrees) > 1:
         return _failure_certificate(
-            poly, None, checks, NotHomogeneous((degrees[0], degrees[-1]))
+            poly.arity, None, (), NotHomogeneous((degrees[0], degrees[-1]))
         )
-    checks.append(CHECK_HOMOGENEOUS)
     degree = degrees[0] if degrees else None
     coeffs = _certified_coefficients(poly, degree, normalize)
+    if cache is None or (degree is not None and degree >= 256):
+        return _certify_terms(poly.arity, degree, coeffs)
+    key = _certificate_key(poly.arity, coeffs)
+    certificate = cache.get(key)
+    if certificate is None:
+        certificate = cache[key] = _certify_terms(poly.arity, degree, coeffs)
+    return certificate
 
+
+def _certify_terms(arity: int, degree, coeffs: dict) -> LorentzCertificate:
+    """The certificate of a homogeneous polynomial of ``arity`` and
+    ``degree`` (None when zero), read off its certified map ``coeffs``."""
+    checks = [CHECK_HOMOGENEOUS]
     negative = [exponent for exponent, coeff in coeffs.items() if coeff < 0]
     if negative:
-        return _failure_certificate(
-            poly, degree, checks, NegativeCoefficient(min(negative))
-        )
+        return _failure_certificate(arity, degree, checks, NegativeCoefficient(min(negative)))
     checks.append(CHECK_NONNEGATIVE)
 
-    witness = m_convex_failure(poly.terms)
+    witness = m_convex_failure(coeffs)
     if witness is not None:
-        return _failure_certificate(
-            poly, degree, checks, SupportNotMConvex(*witness)
-        )
+        return _failure_certificate(arity, degree, checks, SupportNotMConvex(*witness))
     checks.append(CHECK_M_CONVEX)
 
     if degree is not None and degree >= 2:
-        n = poly.arity
+        n = arity
         tied = _tied_pairs(coeffs, n)
         width = (degree + 2).bit_length() + 1
         steps = _field_steps(n, width)
@@ -663,14 +698,14 @@ def lorentzian_certify(poly: Polynomial, *, normalize: bool = False) -> LorentzC
             signature = _inertia_int(matrix)
             if signature.positive > 1:
                 return _failure_certificate(
-                    poly,
+                    arity,
                     degree,
                     checks,
                     HessianFailure(_multiset_indices(_unpacked(alpha, width, n)), signature),
                 )
         checks.append(CHECK_HESSIANS)
 
-    return LorentzCertificate(LORENTZIAN, poly.arity, degree, tuple(checks))
+    return LorentzCertificate(LORENTZIAN, arity, degree, tuple(checks))
 
 
 def _pairwise_scan_shape(poly: Polynomial):
@@ -689,10 +724,18 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
 
     Hessian witnesses are re-derived with repeated partial derivatives and
     the quadratic form constructor, independently of the coefficient
-    formula used inside ``lorentzian_certify``.
+    formula used inside ``lorentzian_certify``.  A certificate must name the
+    arity and degree of ``poly``; a Lorentzian one also needs ``poly``
+    homogeneous with nonnegative coefficients, and is not re-checked further.
     """
+    if certificate.arity != poly.arity or certificate.degree != poly.homogeneous_degree():
+        return False
     if certificate.is_lorentzian:
-        return certificate.failure is None
+        return (
+            certificate.failure is None
+            and len({sum(e) for e in poly.terms}) <= 1
+            and all(c >= 0 for c in poly.terms.values())
+        )
     failure = certificate.failure
     if failure is None:
         return False

@@ -178,10 +178,18 @@ def _cmd_certify(args) -> int:
     return 0 if certificate.is_lorentzian else MATH_FAILURE
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else every core of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_jobs(jobs: int) -> int:
-    """The worker count of ``--jobs``: 0 means every core, and a count
-    below 0 or above the number of cores is refused."""
-    cores = os.cpu_count() or 1
+    """The worker count of ``--jobs``: 0 means every usable core, and a
+    count below 0 or above the number of usable cores is refused."""
+    cores = _usable_cores()
     if jobs == 0:
         return cores
     if not 1 <= jobs <= cores:

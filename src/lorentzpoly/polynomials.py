@@ -254,6 +254,9 @@ class Polynomial:
 
     def derivative(self, mu) -> "Polynomial":
         """Iterated derivative: apply d/dx_i exactly mu_i times for each i."""
+        mu = _int_entries(mu)
+        if len(mu) != self.arity:
+            raise ValueError(f"mu has length {len(mu)}, expected {self.arity}")
         result = self
         for index, reps in enumerate(mu, start=1):
             for _ in range(reps):
@@ -295,6 +298,7 @@ class Polynomial:
         consts: dict[int, Fraction] = {}
         renames: dict[int, int] = {}
         for index, value in assignments.items():
+            index = _int_count(index, "index")
             if not 1 <= index <= self.arity:
                 raise ValueError(f"variable index {index} out of range 1..{self.arity}")
             if isinstance(value, str):

@@ -242,10 +242,11 @@ def _signed_components(payload, raw):
     return [(f"component k={k}", -c if k % 2 else c) for k, c in enumerate(components)]
 
 
-# Memo tables of the divided-difference recursions and the branching rules,
-# filled during one ``run_sweep`` and emptied when it returns.  Inserts are
-# idempotent, so concurrent workers each filling their own copy agree.
-_CACHES = {"schubert": {}, "grothendieck": {}, "schur": {}, "schur_p": {}}
+# Memo tables of the divided-difference recursions, the branching rules and
+# the certificates of families with repeated targets, filled during one
+# ``run_sweep`` and emptied when it returns.  Inserts are idempotent, so
+# concurrent workers each filling their own copy agree.
+_CACHES = {"schubert": {}, "grothendieck": {}, "schur": {}, "schur_p": {}, "certify": {}}
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,9 @@ class Family:
     polynomial and ``targets(payload, raw)`` gives the (label, polynomial)
     pairs the certify mode must pass.  When ``normalize`` is set, the
     targets are given before normalization and the certifier decides
-    their normalizations; otherwise they are certified as they are.
+    their normalizations; otherwise they are certified as they are.  When
+    ``repeats`` is set, many instances share a target, and the certifier
+    keeps its certificates in ``_CACHES["certify"]``.
     Generators name the functions they call at call time, so wrapping a
     module attribute reaches them.
     """
@@ -270,12 +273,13 @@ class Family:
     generate: Callable
     targets: Callable = _whole
     normalize: bool = True
+    repeats: bool = False
 
 
 _PARTITION_BOUNDS = (("boxes", 0, CAP_BOXES), ("parts", 0, CAP_BOXES), ("vars", 1, CAP_VARS))
 _PERMUTATION_BOUNDS = (("n", 1, CAP_N),)
 
-# Family(bounds, instances, gen_flags, generate[, targets, normalize]) per family.
+# Family(bounds, instances, gen_flags, generate[, targets, normalize, repeats]) per family.
 FAMILY_TABLE = {
     "schur": Family(
         _PARTITION_BOUNDS,
@@ -287,6 +291,7 @@ FAMILY_TABLE = {
         _PARTITION_BOUNDS, _skew_instances, ("lambda", "inner", "vars"),
         lambda p: skew_schur(SkewShape(Partition(p[0]), Partition(p[1])), p[2],
                              _CACHES["schur"]),
+        repeats=True,  # translates, reordered pieces, half-turns: equal polynomials
     ),
     "schur_p": Family(
         (("max_part", 0, CAP_BOXES), ("parts", 0, CAP_BOXES), ("vars", 1, CAP_VARS)),
@@ -369,8 +374,9 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
     family = FAMILY_TABLE[spec.family]
     raw = family.generate(payload)
     if spec.mode == "certify":
+        cache = _CACHES["certify"] if family.repeats else None
         for label, target in family.targets(payload, raw):
-            certificate = lorentzian_certify(target, normalize=family.normalize)
+            certificate = lorentzian_certify(target, normalize=family.normalize, cache=cache)
             if not certificate.is_lorentzian:
                 return _failure(spec, instance_id, label,
                                 f"{label}: {certificate.failure.kind}", certificate.to_dict())

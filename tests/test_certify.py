@@ -16,6 +16,7 @@ from lorentzpoly.certify import (
     HessianFailure,
     InertiaSignature,
     NegativeCoefficient,
+    NotHomogeneous,
     SymmetricMatrix,
     _certified_coefficients,
     _multiset_indices,
@@ -221,6 +222,34 @@ class TestCertifier:
         cert = lorentzian_certify(schur((2, 0), 2))
         other = normalize(schur((2, 0), 2))
         assert not verify_certificate(other, cert)
+
+    def test_lorentzian_claim_against_another_arity_fails(self):
+        cert = lorentzian_certify(poly("vars: 2\nx1 x2"))
+        assert cert.is_lorentzian
+        assert not verify_certificate(poly("vars: 3\nx1^2 - x2 x3"), cert)
+        assert not verify_certificate(poly("vars: 2\nx1 x2").with_arity(3), cert)
+
+    def test_lorentzian_claim_against_another_degree_fails(self):
+        cert = lorentzian_certify(poly("vars: 2\nx1 x2"))
+        assert not verify_certificate(poly("vars: 2\nx1^2 x2"), cert)
+        assert not verify_certificate(Polynomial.zero(2), cert)
+
+    def test_lorentzian_claim_against_mixed_degrees_fails(self):
+        # the zero polynomial's certificate names no degree, as mixed ones do
+        cert = lorentzian_certify(Polynomial.zero(2))
+        assert cert.is_lorentzian and cert.degree is None
+        assert verify_certificate(Polynomial.zero(2), cert)
+        assert not verify_certificate(poly("vars: 2\nx1 + x1 x2"), cert)
+
+    def test_lorentzian_claim_against_a_negative_coefficient_fails(self):
+        cert = lorentzian_certify(poly("vars: 2\nx1 + x2"))
+        assert not verify_certificate(poly("vars: 2\nx1 - x2"), cert)
+
+    def test_failure_witness_against_another_arity_fails(self):
+        cert = lorentzian_certify(poly("vars: 2\nx1 + x1 x2"))
+        assert cert.failure == NotHomogeneous((1, 2))
+        assert verify_certificate(poly("vars: 2\nx1 + x1 x2"), cert)
+        assert not verify_certificate(poly("vars: 3\nx1 + x2 x3"), cert)
 
     def test_derivative_closure(self):
         seeds = [normalize(schur(lam, 3)) for lam in partitions_within(5, 3)]
@@ -674,6 +703,68 @@ def test_normalize_flag_matches_normalize_then_certify(kind, data):
     certificate = lorentzian_certify(h, normalize=True)
     assert certificate.to_dict() == lorentzian_certify(normalize(h)).to_dict()
     assert (certificate.failure and certificate.failure.kind) == kind
+
+
+@st.composite
+def homogeneous_int_maps(draw):
+    """Arity 1-4, degree 0-4, integer coefficients of either sign."""
+    arity, degree = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    support = draw(homogeneous_supports(arity, degree, min_size=0))
+    return Polynomial(arity, {e: draw(st.integers(-3, 9)) for e in sorted(support)})
+
+
+@st.composite
+def certify_streams(draw):
+    """(polynomial, normalize) pairs that repeat a few bases, each time with
+    its terms in another order and times a positive scale, which can give a
+    new polynomial the same certified map (x1/2 and x1/3 both read x1)."""
+    bases = draw(st.lists(st.one_of(homogeneous_int_maps(), *OUTCOMES.values()),
+                          min_size=1, max_size=4))
+    stream = []
+    for _ in range(draw(st.integers(1, 12))):
+        base = draw(st.sampled_from(bases))
+        items = draw(st.permutations(list(base.terms.items())))
+        scale = draw(st.sampled_from([1, 2, Fraction(1, 3), Fraction(5, 2)]))
+        stream.append((Polynomial(base.arity, {e: c * scale for e, c in items}),
+                       draw(st.booleans())))
+    return stream
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(certify_streams())
+def test_certificate_memo_matches_uncached(stream):
+    cache = {}
+    for h, flag in stream:
+        assert lorentzian_certify(h, normalize=flag, cache=cache) == \
+            lorentzian_certify(h, normalize=flag)
+    # one entry per distinct (arity, certified map); inhomogeneous targets
+    # are refused before the key is built
+    distinct = {
+        (h.arity, frozenset(_certified_coefficients(h, h.homogeneous_degree(), flag).items()))
+        for h, flag in stream
+        if len({sum(e) for e in h.terms}) <= 1
+    }
+    assert len(cache) == len(distinct)
+
+
+def test_certificate_memo_keys_on_arity_and_every_coefficient():
+    cache = {}
+    h = poly("vars: 2\nx1^2 + x1 x2 + x2^2")
+    reordered = poly("vars: 2\nx2^2 + x1 x2 + x1^2")
+    bumped = poly("vars: 2\nx1^2 + 3 x1 x2 + x2^2")  # Lorentzian, unlike h
+    # only the arity tells the zero polynomials apart
+    for target in (h, reordered, bumped, h.with_arity(3), Polynomial.zero(2), Polynomial.zero(3)):
+        assert lorentzian_certify(target, cache=cache) == lorentzian_certify(target)
+    assert [c.is_lorentzian for c in cache.values()] == [False, True, False, True, True]
+    assert [c.arity for c in cache.values()] == [2, 2, 3, 2, 3]
+
+
+def test_certificate_memo_skips_degree_256():
+    cache = {}
+    for degree in (255, 256):
+        h = Polynomial.monomial(2, (degree, 0))
+        assert lorentzian_certify(h, cache=cache) == lorentzian_certify(h)
+    assert [c.degree for c in cache.values()] == [255]
 
 
 @st.composite

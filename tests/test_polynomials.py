@@ -204,6 +204,23 @@ class TestCalculus:
         with pytest.raises(ValueError):
             Polynomial.constant(2, 1).partial_derivative(3)
 
+    def test_iterated_derivative_refuses_fractional_count(self):
+        with pytest.raises(ValueError, match=r"entries must be integers, got \(0\.5,\)"):
+            poly("vars: 1\nx1^2").derivative((0.5,))
+
+    def test_iterated_derivative_refuses_wrong_length(self):
+        with pytest.raises(ValueError, match="mu has length 4, expected 3"):
+            poly("vars: 3\nx1 x2 x3").derivative((1, 0, 0, 0))
+
+    def test_specialize_refuses_fractional_index(self):
+        with pytest.raises(ValueError, match=r"index must be an integer, got 1\.5"):
+            poly("vars: 2\nx1 x2").specialize({1.5: 1})
+
+    def test_specialize_refuses_float_index(self):
+        # 2.0 == 2, so a dict lookup alone would take it as the index 2
+        with pytest.raises(ValueError, match=r"index must be an integer, got 2\.0"):
+            poly("vars: 2\nx1 x2").specialize({2.0: "x1"})
+
     def test_dualize_single_variable(self):
         assert Polynomial.variable(2, 1).dualize((1, 1)) == Polynomial.variable(2, 2)
 

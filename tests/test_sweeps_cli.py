@@ -171,13 +171,46 @@ class TestSweeps:
         assert len(calls) == 6
         assert all(not table for table in sweeps._CACHES.values())
 
+    def test_certificate_memo_certifies_each_skew_target_once(self, monkeypatch):
+        # the benchmark's skew rung: 668 targets, 107 distinct polynomials;
+        # every target still makes one certify call
+        import lorentzpoly.certify as certify_module
+
+        spec = SweepSpec("skew", "certify", SweepBounds(boxes=6, parts=3, vars=4))
+        scans, certified = [], []
+        scan, certify = certify_module.m_convex_failure, sweeps.lorentzian_certify
+
+        def counted_scan(points):
+            scans.append(None)
+            return scan(points)
+
+        def counted_certify(*args, **kwargs):
+            certified.append(None)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "m_convex_failure", counted_scan)
+        monkeypatch.setattr(sweeps, "lorentzian_certify", counted_certify)
+        memoized = run_sweep(spec).to_dict()
+        assert (len(certified), len(scans)) == (668, 107)
+        family = FAMILY_TABLE["skew"]
+        monkeypatch.setitem(FAMILY_TABLE, "skew", dataclasses.replace(family, repeats=False))
+        scans.clear()
+        certified.clear()
+        unmemoized = run_sweep(spec).to_dict()
+        assert (len(certified), len(scans)) == (668, 668)
+        memoized.pop("wall_time_s")
+        unmemoized.pop("wall_time_s")
+        assert memoized == unmemoized
+
     def test_parallel_matches_serial(self):
-        spec = SweepSpec("schubert", "certify", SweepBounds(n=4))
-        serial = run_sweep(spec, jobs=1).to_dict()
-        parallel = run_sweep(spec, jobs=2).to_dict()
-        serial.pop("wall_time_s")
-        parallel.pop("wall_time_s")
-        assert serial == parallel
+        # with skew, each worker fills its own copy of the certificate table
+        for spec in (SweepSpec("schubert", "certify", SweepBounds(n=4)),
+                     SweepSpec("skew", "certify", SweepBounds(boxes=5, parts=3, vars=3))):
+            serial = run_sweep(spec, jobs=1).to_dict()
+            parallel = run_sweep(spec, jobs=2).to_dict()
+            serial.pop("wall_time_s")
+            parallel.pop("wall_time_s")
+            assert serial == parallel
 
     def test_only_filter(self):
         report = run_sweep(
@@ -569,7 +602,7 @@ class TestCrashingInstance:
     # the host's core count would refuse --jobs 2 on a single core
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_crash_is_an_error_failure(self, crash, jobs, capsys, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code = main(["sweep", "--family", "key", "--boxes", "2", "--parts", "3",
                      "--jobs", jobs, "--out", "json"])
         assert code == 1
@@ -614,7 +647,7 @@ class TestJobs:
                 return map(function, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         return counts
 
     @pytest.fixture
@@ -625,7 +658,7 @@ class TestJobs:
             raise AssertionError("no pool may start")
 
         monkeypatch.setattr(multiprocessing, "Pool", refuse)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
     @pytest.mark.parametrize("jobs", ["-3", "-1", "5", "1000000"])
     def test_refused_without_a_pool(self, no_pool, jobs, capsys):
@@ -644,6 +677,13 @@ class TestJobs:
         assert main(["sweep", "--family", "schubert", "--n", "3", "--jobs", jobs]) == 0
         assert "instances checked: 6" in capsys.readouterr().out
         assert started == [4]
+
+    def test_bounded_by_affinity_not_machine(self, no_pool, monkeypatch, capsys):
+        # a process pinned to one of the machine's cores may start one worker
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert main(["sweep", "--family", "schubert", "--n", "3", "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == "error: --jobs 2 outside 0..1 (0 uses every core)\n"
 
     def test_workers_capped_at_instances(self, started):
         spec = SweepSpec("schubert", "certify", SweepBounds(n=3))
