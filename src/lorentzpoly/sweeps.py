@@ -242,11 +242,16 @@ def _signed_components(payload, raw):
     return [(f"component k={k}", -c if k % 2 else c) for k, c in enumerate(components)]
 
 
-# Memo tables of the divided-difference recursions, the branching rules and
-# the certificates of families with repeated targets, filled during one
+# Memo tables of the divided-difference recursions, the branching rules,
+# the certificates of families with repeated targets and the M-convexity
+# answers of every family (keyed on the support with its constant
+# coordinates dropped, translated to the origin), filled during one
 # ``run_sweep`` and emptied when it returns.  Inserts are idempotent, so
 # concurrent workers each filling their own copy agree.
-_CACHES = {"schubert": {}, "grothendieck": {}, "schur": {}, "schur_p": {}, "certify": {}}
+_CACHES = {
+    "schubert": {}, "grothendieck": {}, "schur": {}, "schur_p": {}, "certify": {},
+    "supports": {},
+}
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,11 @@ class Family:
     targets are given before normalization and the certifier decides
     their normalizations; otherwise they are certified as they are.  When
     ``repeats`` is set, many instances share a target, and the certifier
-    keeps its certificates in ``_CACHES["certify"]``.
+    keeps its certificates in ``_CACHES["certify"]``; elsewhere few targets
+    repeat, and the keys cost more than they save.  Supports repeat far more
+    often than targets once translation and constant coordinates are set
+    aside, so every family, in certify and ``support_only`` mode alike,
+    hands ``_CACHES["supports"]`` to ``m_convex_failure``.
     Generators name the functions they call at call time, so wrapping a
     module attribute reaches them.
     """
@@ -376,13 +385,14 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
     if spec.mode == "certify":
         cache = _CACHES["certify"] if family.repeats else None
         for label, target in family.targets(payload, raw):
-            certificate = lorentzian_certify(target, normalize=family.normalize, cache=cache)
+            certificate = lorentzian_certify(target, normalize=family.normalize, cache=cache,
+                                             supports=_CACHES["supports"])
             if not certificate.is_lorentzian:
                 return _failure(spec, instance_id, label,
                                 f"{label}: {certificate.failure.kind}", certificate.to_dict())
         return None
     if spec.mode == "support_only":
-        witness = m_convex_failure(raw.terms)
+        witness = m_convex_failure(raw.terms, _CACHES["supports"])
         if witness is not None:
             alpha, beta, index = witness
             return _failure(spec, instance_id, "support",

@@ -747,6 +747,16 @@ def test_certificate_memo_matches_uncached(stream):
     assert len(cache) == len(distinct)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(certify_streams())
+def test_support_memo_keeps_every_certificate(stream):
+    # the M-convexity answers of one table, witnesses read off each target
+    supports = {}
+    for h, flag in stream:
+        assert lorentzian_certify(h, normalize=flag, supports=supports) == \
+            lorentzian_certify(h, normalize=flag)
+
+
 def test_certificate_memo_keys_on_arity_and_every_coefficient():
     cache = {}
     h = poly("vars: 2\nx1^2 + x1 x2 + x2^2")

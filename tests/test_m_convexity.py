@@ -5,7 +5,8 @@ base polyhedron and scans pairs only for the witness, with
 ``certify._exchange_scan`` on bit masks of the moves within the set.  The
 slow oracle, ``second_routes.exchange_scan_by_pairs``, builds and looks up the
 moved points of every pair.  All must give the same verdict and the same
-first witness on every input.
+first witness on every input, and so must ``m_convex_failure`` answering
+from a table of support shapes.
 """
 
 from hypothesis import assume, given, settings
@@ -131,6 +132,16 @@ def test_bitmask_scan_names_the_oracle_witness(points):
     assert certify._exchange_scan(pts) == exchange_scan_by_pairs(pts, set(points))
 
 
+def insert_constants(draw, points, count):
+    """``points`` with ``count`` coordinates, constant over the set, inserted
+    at drawn positions."""
+    for _ in range(count):
+        at = draw(st.integers(0, len(next(iter(points)))))
+        value = draw(st.integers(0, 3))
+        points = {p[:at] + (value,) + p[at:] for p in points}
+    return points
+
+
 @st.composite
 def with_constant_coordinates(draw):
     """Sets of the shapes above with one to three coordinates, constant over
@@ -138,11 +149,7 @@ def with_constant_coordinates(draw):
     points = draw(st.one_of(
         linear_form_products(), edited_products(), mixed_sum_sets(), rank_test_skipped()
     ))
-    for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(next(iter(points)))))
-        value = draw(st.integers(0, 3))
-        points = {p[:at] + (value,) + p[at:] for p in points}
-    return points
+    return insert_constants(draw, points, draw(st.integers(1, 3)))
 
 
 @GENERATED
@@ -150,6 +157,60 @@ def with_constant_coordinates(draw):
 def test_constant_coordinates_keep_the_witness(points):
     """The tests run on the varying coordinates; the witness maps back."""
     assert m_convex_failure(points) == scan(points)
+
+
+def shape(points):
+    """The sorted support with its constant coordinates dropped and each
+    other coordinate shifted to least value 0."""
+    pts = sorted(set(points))
+    varying = [col for col in zip(*pts) if len(set(col)) > 1]
+    shifted = [[v - min(col) for v in col] for col in varying]
+    return (len(pts), *map(tuple, zip(*shifted)))
+
+
+@st.composite
+def support_streams(draw):
+    """Supports that repeat a few bases, failing ones among them: each time
+    translated, often to coordinates of 256 or more, with zero to two more
+    constant coordinates at drawn positions, in a shuffled order.  A base
+    stretched 90-fold spans 256 or more in some coordinate."""
+    bases = draw(st.lists(
+        st.one_of(with_constant_coordinates(), edited_products(), mixed_sum_sets()),
+        min_size=1, max_size=3,
+    ))
+    if draw(st.booleans()):
+        bases.append({tuple(90 * v for v in p) for p in bases[0]})
+    stream = []
+    for _ in range(draw(st.integers(1, 8))):
+        points = draw(st.sampled_from(bases))
+        offsets = st.sampled_from([0, 1, -2, 256, 300])
+        shift = draw(st.tuples(*[offsets] * len(next(iter(points)))))
+        points = {tuple(v + s for v, s in zip(p, shift)) for p in points}
+        points = insert_constants(draw, points, draw(st.integers(0, 2)))
+        stream.append(draw(st.permutations(sorted(points))))
+    return stream
+
+
+@GENERATED
+@given(support_streams())
+def test_support_memo_matches_uncached(stream):
+    """Every answer through one shared table is the uncached one, witness
+    included, and the table keeps one entry per support shape."""
+    cache = {}
+    for points in stream:
+        expected = scan(set(points))
+        assert m_convex_failure(points) == expected
+        assert m_convex_failure(points, cache) == expected
+    assert len(cache) == len({shape(points) for points in stream})
+
+
+def test_support_memo_keys_on_the_point_count():
+    """After the shift both sets list 0,1,1,0,0,1 column by column; only the
+    point count tells three columns of two from two columns of three."""
+    cache = {}
+    for points in ([(0, 1, 0), (1, 0, 1)], [(0, 0), (1, 0), (1, 1)]):
+        assert m_convex_failure(points, cache) == scan(set(points)) is not None
+    assert len(cache) == 2
 
 
 @pytest.mark.parametrize("points", [

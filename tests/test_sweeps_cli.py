@@ -180,9 +180,9 @@ class TestSweeps:
         scans, certified = [], []
         scan, certify = certify_module.m_convex_failure, sweeps.lorentzian_certify
 
-        def counted_scan(points):
+        def counted_scan(points, cache=None):
             scans.append(None)
-            return scan(points)
+            return scan(points, cache)
 
         def counted_certify(*args, **kwargs):
             certified.append(None)
@@ -203,14 +203,51 @@ class TestSweeps:
         assert memoized == unmemoized
 
     def test_parallel_matches_serial(self):
-        # with skew, each worker fills its own copy of the certificate table
+        # with skew, each worker fills its own copy of the certificate table;
+        # the grothendieck sweep reads failing witnesses off the support table
         for spec in (SweepSpec("schubert", "certify", SweepBounds(n=4)),
-                     SweepSpec("skew", "certify", SweepBounds(boxes=5, parts=3, vars=3))):
+                     SweepSpec("skew", "certify", SweepBounds(boxes=5, parts=3, vars=3)),
+                     SweepSpec("grothendieck", "support_only", SweepBounds(n=5))):
             serial = run_sweep(spec, jobs=1).to_dict()
             parallel = run_sweep(spec, jobs=2).to_dict()
             serial.pop("wall_time_s")
             parallel.pop("wall_time_s")
             assert serial == parallel
+
+    @pytest.mark.parametrize("spec, failures, runs", [
+        (SweepSpec("schubert", "certify", SweepBounds(n=5)), 0, (28, 120)),
+        (SweepSpec("grothendieck", "support_only", SweepBounds(n=5)), 78, (45, 149)),
+    ])
+    def test_support_memo_decides_each_shape_once(self, monkeypatch, spec, failures, runs):
+        # the same report with the support table as with one that never
+        # stores, from fewer runs of the rank test and the exchange scan:
+        # 28 shapes among the 120 Schubert supports of S5
+        import lorentzpoly.certify as certify_module
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        decided = []
+
+        def counted(route):
+            def run(pts):
+                decided.append(None)
+                return route(pts)
+            return run
+
+        for name in ("_rank_m_convex", "_exchange_scan"):
+            monkeypatch.setattr(certify_module, name, counted(getattr(certify_module, name)))
+        memoized = run_sweep(spec).to_dict()
+        with_table = len(decided)
+        monkeypatch.setitem(sweeps._CACHES, "supports", Forgetful())
+        decided.clear()
+        unmemoized = run_sweep(spec).to_dict()
+        assert len(memoized["failures"]) == failures
+        assert (with_table, len(decided)) == runs
+        memoized.pop("wall_time_s")
+        unmemoized.pop("wall_time_s")
+        assert memoized == unmemoized
 
     def test_only_filter(self):
         report = run_sweep(
