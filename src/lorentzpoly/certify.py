@@ -787,6 +787,8 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     formula used inside ``lorentzian_certify``.  A certificate must name the
     arity and degree of ``poly``; a Lorentzian one also needs ``poly``
     homogeneous with nonnegative coefficients, and is not re-checked further.
+    A witness that does not fit ``poly`` (an exchange index outside
+    1..arity, a multiset not of d - 2 variables of ``poly``) is refused.
     """
     if certificate.arity != poly.arity or certificate.degree != poly.homogeneous_degree():
         return False
@@ -809,12 +811,17 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
         support = poly.support()
         alpha, beta, index = failure.alpha, failure.beta, failure.index
         i = index - 1
-        if alpha not in support or beta not in support or alpha[i] <= beta[i]:
+        if (not 0 <= i < poly.arity or alpha not in support or beta not in support
+                or alpha[i] <= beta[i]):
             return False
         return not _exchange_ok(support, alpha, beta, i)
     if isinstance(failure, HessianFailure):
+        multiset = failure.multiset
+        if (certificate.degree is None or len(multiset) != certificate.degree - 2
+                or not all(1 <= index <= poly.arity for index in multiset)):
+            return False
         derivative = poly
-        for index in failure.multiset:
+        for index in multiset:
             derivative = derivative.partial_derivative(index)
         signature = inertia(quadratic_form_matrix(derivative))
         return signature == failure.inertia and signature.positive >= 2

@@ -23,7 +23,8 @@ exponent, so pi_i is one shift and one subtraction on the map before d_i,
 and the key operator a shift before d_i; no step builds a Polynomial.
 A memo passed as ``cache`` maps each tuple on the climbed path to its int
 map, and each generator makes one Fraction per term of its result, so no
-int reaches a Polynomial.  The maps keep the insertion order of the
+int reaches a Polynomial.  A sweep passes a ``RootPath`` memo and walks
+S_n in ``descent_tree`` order, so it holds one path of the tree at a time.  The maps keep the insertion order of the
 Polynomial operators they replace: root-direction violations are listed
 by line in the order of each line's first term, so the term order fixes
 which one an inequality sweep reports first.
@@ -264,7 +265,10 @@ def _descent_recursion(line: tuple, apply_op, top, cache):
 
     The swaps are climbed in a loop, up to the first tuple with a cached
     result or no ascent, and the operators applied on the way back down,
-    so a tuple of any length needs no recursion depth."""
+    so a tuple of any length needs no recursion depth.  A call tests
+    membership on the way up, then either reads its deepest cached
+    ancestor once or stores the top, and stores each tuple below it in
+    turn, ending with ``line``; a ``RootPath`` memo relies on that order."""
     path = []  # (tuple, its smallest ascent), from ``line`` upward
     while cache is None or line not in cache:
         for i in range(1, len(line)):
@@ -284,6 +288,44 @@ def _descent_recursion(line: tuple, apply_op, top, cache):
         if cache is not None:
             cache[line] = result
     return result
+
+
+class RootPath(dict):
+    """A ``_descent_recursion`` memo that keeps one path of the descent tree
+    of S_n down from w_0: at most n(n-1)/2 + 1 tuples.
+
+    Insertion order is the path order.  A read lands on the deepest cached
+    ancestor of the tuple being built, so every entry stored after it lies
+    off that tuple's path and is dropped; the stores that follow extend
+    the path.  A sweep in ``descent_tree`` order applies one operator per
+    tuple, to its parent's cached result."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        while next(reversed(self)) != key:
+            self.popitem()
+        return value
+
+
+def descent_tree(n: int):
+    """S_n as one-line tuples in depth-first preorder of the descent tree.
+
+    The root is w_0; the parent of w swaps positions i, i+1 at its smallest
+    ascent i.  So the children of v swap a descent j with
+    v(1) > ... > v(j-1) > v(j+1), and are visited in increasing j."""
+    stack = [tuple(range(_int_count(n, "n"), 0, -1))]
+    while stack:
+        v = stack.pop()
+        yield v
+        children = []
+        for j in range(len(v) - 1):  # 0-based: swap v[j], v[j+1]
+            if j > 1 and v[j - 2] < v[j - 1]:
+                break
+            if v[j] > v[j + 1] and (j == 0 or v[j - 1] > v[j + 1]):
+                children.append(v[:j] + (v[j + 1], v[j]) + v[j + 2 :])
+        stack.extend(reversed(children))
 
 
 def _staircase_terms(line: tuple) -> dict:

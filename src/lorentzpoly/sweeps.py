@@ -29,8 +29,9 @@ from .certify import (
 )
 from .schubert import (
     Permutation,
-    all_permutations,
+    RootPath,
     degree_polynomial,
+    descent_tree,
     grothendieck,
     homogeneous_grothendieck,
     key_polynomial,
@@ -218,8 +219,10 @@ def _key_instances(boxes, parts):
 
 
 def _permutation_instances(n):
-    for w in all_permutations(n):
-        yield f"w={''.join(str(v) for v in w.one_line)}", (w.one_line,)
+    # descent-tree preorder: each permutation's parent is still on the one
+    # path that a ``RootPath`` memo holds when the permutation comes
+    for line in descent_tree(n):
+        yield f"w={''.join(map(str, line))}", (line,)
 
 
 def _verma_instances(nvars, delta_cap):
@@ -245,12 +248,14 @@ def _signed_components(payload, raw):
 # Memo tables of the divided-difference recursions, the branching rules,
 # the certificates of families with repeated targets and the M-convexity
 # answers of every family (keyed on the support with its constant
-# coordinates dropped, translated to the origin), filled during one
-# ``run_sweep`` and emptied when it returns.  Inserts are idempotent, so
-# concurrent workers each filling their own copy agree.
+# coordinates dropped, translated to the origin), emptied when one
+# ``run_sweep`` starts and when it returns.  The two permutation tables
+# hold one root path of the descent tree, at most n(n-1)/2 + 1 term maps;
+# the others grow with the sweep.  Inserts are idempotent, so concurrent
+# workers each filling their own copy agree.
 _CACHES = {
-    "schubert": {}, "grothendieck": {}, "schur": {}, "schur_p": {}, "certify": {},
-    "supports": {},
+    "schubert": RootPath(), "grothendieck": RootPath(), "schur": {}, "schur_p": {},
+    "certify": {}, "supports": {},
 }
 
 
@@ -272,8 +277,11 @@ class Family:
     often than targets once translation and constant coordinates are set
     aside, so every family, in certify and ``support_only`` mode alike,
     hands ``_CACHES["supports"]`` to ``m_convex_failure``.
-    Generators name the functions they call at call time, so wrapping a
-    module attribute reaches them.
+    The permutation families yield S_n in descent-tree preorder and keep
+    their term maps in ``RootPath`` tables, which hold only the path from
+    w_0 to the current instance; a serial sweep of all of S_n applies one
+    operator per instance, to its parent's map.  Generators name the functions they call at call
+    time, so wrapping a module attribute reaches them.
     """
 
     bounds: tuple
@@ -426,14 +434,20 @@ def _worker(args):
 def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> SweepReport:
     """Run a sweep; ``only`` restricts to instance ids containing the string.
 
-    The memo tables in ``_CACHES`` are emptied when the sweep returns, so
-    each sweep starts cold and nothing it built stays resident.
+    The memo tables in ``_CACHES`` are emptied when the sweep starts and
+    when it returns, so each sweep starts cold and nothing it built stays
+    resident.
     """
     try:
+        _clear_caches()
         return _run_sweep(spec, jobs, only)
     finally:
-        for table in _CACHES.values():
-            table.clear()
+        _clear_caches()
+
+
+def _clear_caches():
+    for table in _CACHES.values():
+        table.clear()
 
 
 def _run_sweep(spec: SweepSpec, jobs: int, only: Optional[str]) -> SweepReport:

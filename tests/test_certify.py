@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import itertools
 import math
@@ -17,6 +18,7 @@ from lorentzpoly.certify import (
     InertiaSignature,
     NegativeCoefficient,
     NotHomogeneous,
+    SupportNotMConvex,
     SymmetricMatrix,
     _certified_coefficients,
     _multiset_indices,
@@ -217,6 +219,32 @@ class TestCertifier:
             cert = lorentzian_certify(p)
             assert not cert.is_lorentzian
             assert verify_certificate(p, cert)
+
+    @pytest.mark.parametrize("index", [-1, 0, 3])
+    def test_exchange_index_outside_the_variables_is_refused(self, index):
+        # -1 once read alpha[-2] and accepted; 3 raised IndexError
+        gap = poly("vars: 2\nx1^2 + x2^2")
+        cert = lorentzian_certify(gap)
+        assert cert.failure == SupportNotMConvex((2, 0), (0, 2), 1)
+        assert verify_certificate(gap, cert)
+        forged = dataclasses.replace(cert, failure=SupportNotMConvex((2, 0), (0, 2), index))
+        assert verify_certificate(gap, forged) is False
+
+    @pytest.mark.parametrize("multiset", [(0,), (3,), (-1,), (1, 1), ()])
+    def test_hessian_multiset_that_does_not_fit_is_refused(self, multiset):
+        # a cubic needs one derivative, by x1 or x2; these once raised ValueError
+        flat = poly("vars: 2\nx1^3 + x1^2 x2 + x1 x2^2 + x2^3")
+        cert = lorentzian_certify(flat)
+        assert cert.failure.multiset == (1,)
+        forged = dataclasses.replace(
+            cert, failure=dataclasses.replace(cert.failure, multiset=multiset))
+        assert verify_certificate(flat, forged) is False
+
+    def test_hessian_witness_on_mixed_degrees_is_refused(self):
+        flat = poly("vars: 2\nx1^3 + x1^2 x2 + x1 x2^2 + x2^3")
+        mixed = poly("vars: 2\nx1^3 + x1 x2")
+        cert = dataclasses.replace(lorentzian_certify(flat), degree=None)
+        assert verify_certificate(mixed, cert) is False
 
     def test_witness_against_wrong_polynomial_fails(self):
         cert = lorentzian_certify(schur((2, 0), 2))

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,11 +12,13 @@ import pytest
 from lorentzpoly.polynomials import Polynomial, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,
+    RootPath,
     _covers_below,
     all_permutations,
     avoids_pattern,
     degree_polynomial,
     demazure_pi,
+    descent_tree,
     divided_difference,
     grassmannian_for,
     grothendieck,
@@ -252,6 +255,88 @@ class TestSchubert:
             for line in path:
                 assert schubert(Permutation(line), cache).terms == cache[line]
             assert applied == []
+
+
+def _parent(line):
+    """w with positions i, i+1 swapped at its smallest ascent i; None at w_0."""
+    for i in range(1, len(line)):
+        if line[i - 1] < line[i]:
+            return line[: i - 1] + (line[i], line[i - 1]) + line[i + 1 :]
+    return None
+
+
+_UNCACHED = {}
+
+
+def _uncached(family, line):
+    """The generator's result with no memo, computed once per tuple."""
+    key = (family.__name__, line)
+    if key not in _UNCACHED:
+        _UNCACHED[key] = family(Permutation(line))
+    return _UNCACHED[key]
+
+
+@st.composite
+def request_orders(draw):
+    # S_n in lexicographic order, shuffled, or as a drawn run with repeats
+    n = draw(st.integers(1, 6))
+    lines = list(itertools.permutations(range(1, n + 1)))
+    kind = draw(st.sampled_from(["lexicographic", "shuffled", "drawn"]))
+    if kind == "shuffled":
+        lines = draw(st.permutations(lines))
+    elif kind == "drawn":
+        lines = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=60))
+    return n, lines
+
+
+class TestRootPath:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_descent_tree_is_a_preorder_of_s_n(self, n):
+        lines = list(descent_tree(n))
+        assert sorted(lines) == list(itertools.permutations(range(1, n + 1)))
+        assert lines[0] == tuple(range(n, 0, -1))
+        # every node comes after its parent, while the parent is still on
+        # the path from w_0 to the node before it: a node of length l has
+        # n(n-1)/2 - l ancestors there
+        path = []
+        for line in lines:
+            while path and path[-1] != _parent(line):
+                path.pop()
+            assert len(path) == n * (n - 1) // 2 - Permutation(line).length(), line
+            path.append(line)
+
+    def test_preorder_applies_one_operator_per_permutation(self, monkeypatch):
+        applied = []
+        divided_terms = schubert_module._divided_terms
+
+        def counted(terms, i):
+            applied.append(i)
+            return divided_terms(terms, i)
+
+        monkeypatch.setattr(schubert_module, "_divided_terms", counted)
+        memo = RootPath()
+        for line in descent_tree(6):
+            expected = _uncached(schubert, line)
+            applied.clear()
+            assert schubert(Permutation(line), memo) == expected
+            length = Permutation(line).length()
+            assert len(applied) == (length < 15)  # none at w_0
+            assert len(memo) == 15 - length + 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(request_orders())
+    def test_results_match_the_uncached_ones(self, order):
+        n, lines = order
+        bound = n * (n - 1) // 2 + 1
+        for family in (schubert, grothendieck):
+            memo = RootPath()
+            for line in lines:
+                assert family(Permutation(line), memo) == _uncached(family, line), line
+                assert len(memo) <= bound
+                # the memo holds one chain from w_0 down to ``line``
+                keys = list(memo)
+                assert keys[0] == tuple(range(n, 0, -1)) and keys[-1] == line
+                assert all(_parent(low) == high for high, low in zip(keys, keys[1:]))
 
 
 class TestSchubertDual:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import pathlib
 import shutil
@@ -18,6 +19,7 @@ from lorentzpoly.polynomials import (
 from lorentzpoly.schubert import Permutation, schubert_dual
 from lorentzpoly.sweeps import (
     FAMILY_TABLE,
+    MODES,
     SweepBounds,
     SweepCapError,
     SweepSpec,
@@ -30,6 +32,12 @@ from lorentzpoly.sweeps import (
 from lorentzpoly.symmetric import Partition, SkewShape
 
 from second_routes import schur_p_by_marked_tableaux, skew_schur_by_tableaux
+
+
+PERMUTATION_FAMILIES = (
+    "schubert", "schubert_dual", "grothendieck", "grothendieck_homog", "degree",
+)
+MEMO_FAMILIES = PERMUTATION_FAMILIES[:4]  # those with a term-map memo
 
 
 def lorentz(*args, stdin=None):
@@ -207,7 +215,8 @@ class TestSweeps:
         # the grothendieck sweep reads failing witnesses off the support table
         for spec in (SweepSpec("schubert", "certify", SweepBounds(n=4)),
                      SweepSpec("skew", "certify", SweepBounds(boxes=5, parts=3, vars=3)),
-                     SweepSpec("grothendieck", "support_only", SweepBounds(n=5))):
+                     SweepSpec("grothendieck", "support_only", SweepBounds(n=5)),
+                     SweepSpec("schubert_dual", "certify", SweepBounds(n=5))):
             serial = run_sweep(spec, jobs=1).to_dict()
             parallel = run_sweep(spec, jobs=2).to_dict()
             serial.pop("wall_time_s")
@@ -248,6 +257,47 @@ class TestSweeps:
         memoized.pop("wall_time_s")
         unmemoized.pop("wall_time_s")
         assert memoized == unmemoized
+
+    @pytest.mark.parametrize("family, mode, n, only", [
+        *[(family, mode, 6, None) for family in MEMO_FAMILIES for mode in MODES],
+        ("schubert", "certify", 7, None),
+        *[(family, "certify", 6, "w=3") for family in MEMO_FAMILIES],
+    ])
+    def test_permutation_memos_hold_one_root_path(self, monkeypatch, family, mode, n, only):
+        # after every instance, at most the n(n-1)/2 + 1 term maps from w_0
+        # down to it; a table of every permutation met holds n! of them
+        held = []
+        check = sweeps._check_instance
+
+        def probed(*args):
+            failure = check(*args)
+            held.append(max(len(sweeps._CACHES[name]) for name in ("schubert", "grothendieck")))
+            return failure
+
+        monkeypatch.setattr(sweeps, "_check_instance", probed)
+        report = run_sweep(SweepSpec(family, mode, SweepBounds(n=n)), only=only)
+        assert len(held) == report.instances_checked
+        assert 0 < max(held) <= n * (n - 1) // 2 + 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_descent_order_matches_lexicographic_order(self, monkeypatch, family, mode):
+        # the same reports from descent-tree order with root-path memos as
+        # from lexicographic order with tables of every permutation met
+        def lexicographic(n):
+            for line in itertools.permutations(range(1, n + 1)):
+                yield "w=" + "".join(map(str, line)), (line,)
+
+        spec = SweepSpec(family, mode, SweepBounds(n=5))
+        reports = [run_sweep(spec, jobs=jobs).to_dict() for jobs in (1, 2)]
+        monkeypatch.setitem(FAMILY_TABLE, family,
+                            dataclasses.replace(FAMILY_TABLE[family], instances=lexicographic))
+        for name in ("schubert", "grothendieck"):
+            monkeypatch.setitem(sweeps._CACHES, name, {})
+        reports += [run_sweep(spec, jobs=jobs).to_dict() for jobs in (1, 2)]
+        for report in reports:
+            report.pop("wall_time_s")
+        assert all(report == reports[0] for report in reports)
 
     def test_only_filter(self):
         report = run_sweep(
