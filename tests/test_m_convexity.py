@@ -1,13 +1,20 @@
-"""The rank test and the bit-mask exchange scan against the pair-by-pair scan.
+"""The rank test and the bit-set exchange scan against the pair-by-pair scan.
 
 ``m_convex_failure`` decides through the rank function of the support's
-base polyhedron and scans pairs only for the witness, with
-``certify._exchange_scan`` on bit masks of the moves within the set.  The
-slow oracle, ``second_routes.exchange_scan_by_pairs``, builds and looks up the
-moved points of every pair.  All must give the same verdict and the same
-first witness on every input, and so must ``m_convex_failure`` answering
-from a table of support shapes.
+base polyhedron and runs the exchange scan only for the witness, with
+``certify._exchange_scan`` checking one point against bit sets of the
+positions of all later points.  The slow oracle,
+``second_routes.exchange_scan_by_pairs``, builds and looks up the moved
+points of every pair.  All must give the same verdict and the same first
+witness on every input, and so must ``m_convex_failure`` answering from a
+table of support shapes.  Besides the small sets, the scan meets supports
+of more than 64 and more than 256 points, whose bit sets span several
+machine words, square-free quadratic supports in up to 64 variables,
+coordinates spanning 128 or more, which widen the packed fields, and
+failing supports whose first witness lies past the first point.
 """
+
+import itertools
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,6 +36,7 @@ from second_routes import exchange_scan_by_pairs
 from test_family_table import SWEEPS
 
 GENERATED = settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+LARGE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def scan(points):
@@ -223,6 +231,116 @@ def test_witness_led_by_the_earlier_point(points):
     witness = exchange_scan_by_pairs(points, set(points))
     assert witness[0] < witness[1]
     assert certify._exchange_scan(points) == witness
+
+
+def multiplied(support, form):
+    """The support of a polynomial with ``support`` times sum_{i in form} x_i."""
+    return {tuple(v + (k == i) for k, v in enumerate(point)) for point in support for i in form}
+
+
+@st.composite
+def edited_late(draw, support):
+    """``support`` as it is, less one point of the later half of its sorted
+    order, or with one point added: a point with one to three units moved
+    from one coordinate to another."""
+    pts = sorted(support)
+    edit = draw(st.sampled_from(["keep", "drop", "add"]))
+    if edit == "drop":
+        return support - {draw(st.sampled_from(pts[len(pts) // 2:]))}
+    if edit == "add":
+        point = list(draw(st.sampled_from(pts)))
+        i, j = draw(st.lists(st.integers(0, len(point) - 1), min_size=2, max_size=2,
+                             unique=True))
+        units = draw(st.integers(1, 3))
+        point[i] -= units
+        point[j] += units
+        return support | {tuple(point)}
+    return support
+
+
+@st.composite
+def products_past_a_word(draw):
+    """Product supports of more than 64 or more than 256 points, in 3 to 8
+    variables, edited or not."""
+    n = draw(st.integers(3, 8))
+    least = draw(st.sampled_from([64, 256]))
+    support = {(0,) * n}
+    while len(support) <= least:
+        support = multiplied(support, draw(st.sets(st.integers(0, n - 1), min_size=2,
+                                                   max_size=3)))
+    return draw(edited_late(support))
+
+
+def square_free(pairs, n):
+    return {tuple(int(k in pair) for k in range(n)) for pair in pairs}
+
+
+@st.composite
+def square_free_supports(draw):
+    """Supports x_i x_j (i < j) in 12 to 64 variables, as in the CLI test's
+    ``square_free_quadratic``: the first 65 to 300 pairs in lexicographic
+    order, or every pair within 12 to 24 variables, which is M-convex;
+    edited or not."""
+    n = draw(st.integers(12, 64))
+    if draw(st.booleans()):
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = pairs[: draw(st.integers(65, min(len(pairs), 300)))]
+    else:
+        within = draw(st.sets(st.integers(0, n - 1), min_size=12, max_size=24))
+        chosen = itertools.combinations(sorted(within), 2)
+    return draw(edited_late(square_free(chosen, n)))
+
+
+@st.composite
+def late_failures(draw):
+    """Every pair within 12 to 24 of 12 to 64 variables, less {u, v} and
+    {v, w}, none of u, v, w one of the two largest variables y < z.  Then
+    ({u, w}, {v, t}, u) fails for every other t, each of its exchanges
+    needing {u, v} or {v, w}, but the first point, {y, z}, passes against
+    every other pair, as every pair that holds y or z is in the set."""
+    n = draw(st.integers(12, 64))
+    within = sorted(draw(st.sets(st.integers(0, n - 1), min_size=12, max_size=24)))
+    u, v, w = draw(st.permutations(within[:-2]))[:3]
+    pairs = set(itertools.combinations(within, 2)) - {tuple(sorted(e)) for e in ((u, v), (v, w))}
+    return square_free(pairs, n)
+
+
+@st.composite
+def wide_segments(draw):
+    """The support of (x_i + x_j)^p in 2 to 6 variables, the others held
+    at drawn constants, with p from 256 to 300, or from 128 to 160 and
+    times a second form: a coordinate spans 128 or more, which widens every
+    packed field; edited or not."""
+    n = draw(st.integers(2, 6))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    power = draw(st.integers(128, 160) | st.integers(256, 300))
+    base = draw(st.tuples(*[st.sampled_from([0, 1, -3, 300])] * n))
+    support = {
+        tuple(v + t * (k == i) + (power - t) * (k == j) for k, v in enumerate(base))
+        for t in range(power + 1)
+    }
+    if power <= 160:
+        support = multiplied(support, draw(st.sets(st.integers(0, n - 1), min_size=2,
+                                                   max_size=2)))
+    return draw(edited_late(support))
+
+
+@LARGE
+@given(st.one_of(products_past_a_word(), square_free_supports(), wide_segments()))
+def test_bitset_scan_past_one_machine_word(points):
+    pts = sorted(points)
+    assert certify._exchange_scan(pts) == exchange_scan_by_pairs(pts, points)
+
+
+@LARGE
+@given(late_failures())
+def test_bitset_scan_names_a_witness_past_the_first_point(points):
+    """The first witness pair starts after position 0, so the scan has
+    cleared every set of the earlier points first."""
+    pts = sorted(points)
+    witness = exchange_scan_by_pairs(pts, points)
+    assert witness is not None and min(map(pts.index, witness[:2])) > 0
+    assert certify._exchange_scan(pts) == witness
 
 
 @GENERATED
