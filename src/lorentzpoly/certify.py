@@ -63,20 +63,21 @@ polynomials of S6 have 720 supports and 173 reduced forms.
 Mixed partial derivatives commute, so derivative index sequences and
 multisets give identical quadratic forms; the certifier therefore
 enumerates sorted multisets only.  Every Hessian is read off the terms of
-the input in one pass.  With the coefficients scaled to integers, a term
-c x^e writes c e_i (e_j - [i = j]) at (i, j) and (j, i) of the matrix of
-the multiplicity vector alpha = e - e_i - e_j, for each i <= j where that
-value is nonzero.  Each entry of each matrix comes from exactly one term,
-and the Hessian of the derivative by alpha is alpha! times the matrix, a
-positive factor that leaves the inertia unchanged.  A multiset under no
-term has the zero derivative, which passes.  Witness re-verification goes
-the other way, through the public derivative chain, so each verdict is
-covered by two independent routes.  Each exponent is packed into one
-integer key, coordinate 0 in the highest of n fields of w bits, w being
-(d + 2).bit_length() + 1, so the top bit of a field, its guard bit, stays
-clear for every value up to d + 2.  The key of alpha is then the key of e
-less the steps of fields i and j, no field ever borrowing, and matrices
-are kept under these keys.
+the input in one pass, with the coefficients scaled to integers.  As
+d^beta x^mu / mu! = x^(mu - beta) / (mu - beta)!, a term c x^e / e! of a
+normalized target puts c at (i, j) and (j, i) of the Hessian of the
+derivative by alpha = e - e_i - e_j, and a raw term c x^e puts
+alpha! c e_i (e_j - [i = j]) there; the matrix of alpha gets c, or the
+latter less the positive factor alpha!, which keeps the inertia, for each
+i <= j with alpha >= 0.  Each entry of each matrix comes from exactly one
+term.  A multiset under no term has the zero derivative, which passes.
+Witness re-verification goes the other way, through the public derivative
+chain, so each verdict is covered by two independent routes.  Each
+exponent is packed into one integer key, coordinate 0 in the highest of n
+fields of w bits, w being (d + 2).bit_length() + 1, so the top bit of a
+field, its guard bit, stays clear for every value up to d + 2.  The key of
+alpha is then the key of e less the steps of fields i and j, no field ever
+borrowing, and matrices are kept under these keys.
 
 Only one multiset per symmetry orbit is checked.  An adjacent pair k is
 tied when every scaled term c x^e has the same coefficient at e with e_k
@@ -107,27 +108,26 @@ tuple), and as no field overflows, the keys compare as the vectors do, so
 the matrices are checked in the order of ``sorted(hessians, reverse=True)``
 and a key is unpacked to its index tuple only for the witness.
 
-A normalized polynomial N(p) = sum c_mu x^mu / mu! is certified on
-integers, without being built.  For p homogeneous of degree d,
-d! N(p) = sum c_mu (d! / mu!) x^mu, and each multinomial d! / mu! is an
-integer, so with the scale L that clears the denominators of p the terms
-of L d! N(p) are integers.  Multiplying every term by one positive number
-keeps each sign and the support, maps equal coefficients to equal ones, so
-the tied pairs stay, and multiplies each Hessian by that number, which
-keeps every inertia; a positive multiple of a Lorentzian polynomial is
-Lorentzian (Branden-Huh, Lorentzian polynomials, 2020).  The certificate
-of N(p), witness included, is therefore read off these integers.
+A normalized polynomial N(p) = sum c_mu x^mu / mu! is certified on the
+integer-scaled terms of p, without being built.  Dividing a term by mu!
+keeps its sign, and mu! does not change when two coordinates of mu are
+swapped, so p and N(p) have the same support and the same tied pairs.
+Scaling by the least integer L that clears the denominators of p multiplies
+every Hessian by L, which keeps every inertia; a positive multiple of a
+Lorentzian polynomial is Lorentzian (Branden-Huh, Lorentzian polynomials,
+2020).  The Hessians of L N(p) are read off the scaled terms as above, so
+the certificate of N(p), witness included, comes from these integers.
 
-A certificate is a function of the arity and the certified integer map
-alone.  Past the homogeneity check, the certifier reads nothing else: the
-signs and the negative witness come from the map, the support is its set of
-keys, the degree is the sum of any key, and the tied pairs and every Hessian
-are read off its terms.  Two targets with equal (arity, map) pairs, such as
-a skew Schur polynomial and its translate or half-turn, or a raw target and
-a normalized one whose integers agree, therefore get equal certificates,
-witnesses included, and a sweep may certify such a pair once.  The key of a
-map is exact and ignores the order of its terms: its exponents in sorted
-order, one byte per coordinate, then their integers.
+A certificate is a function of the arity, the ``normalize`` flag and the
+scaled integer map alone.  Past the homogeneity check, the certifier reads
+nothing else: the signs and the negative witness come from the map, the
+support is its set of keys, the degree is the sum of any key, and the tied
+pairs and every Hessian are read off its terms.  Two targets with equal
+(arity, flag, map) triples, such as a skew Schur polynomial and its
+translate or half-turn, therefore get equal certificates, witnesses
+included, and a sweep may certify such a pair once.  The key of a map is
+exact and ignores the order of its terms: its exponents in sorted order,
+one byte per coordinate, then their integers.
 
 Log-concavity along a root direction e_i - e_j fails at mu when c(mu)^2 <
 c(mu + e_i - e_j) c(mu - e_i + e_j).  A square is never negative, so the
@@ -677,37 +677,16 @@ def _unpacked(key: int, width: int, n: int, offset: int = 0) -> tuple:
     return tuple((key >> width * (n - 1 - k) & mask) - offset for k in range(n))
 
 
-def _certified_coefficients(poly: Polynomial, degree, normalize: bool) -> dict:
-    """The exponent -> int map the certifier reads: ``_scaled_coefficients``,
-    times the multinomial d!/mu! at each mu when ``normalize`` is set.
-
-    Every exponent of ``poly`` sums to at most ``degree``, so d!/mu! is an
-    integer, and the map is L d! N(poly), with L the least positive integer
-    that clears the denominators of ``poly``.
-    """
-    coeffs = _scaled_coefficients(poly)
-    if not normalize or not coeffs:
-        return coeffs
-    factorials = [1] * (degree + 1)
-    for k in range(2, degree + 1):
-        factorials[k] = factorials[k - 1] * k
-    top = factorials[degree]
-    return {
-        e: c * (top // math.prod(map(factorials.__getitem__, e)))
-        for e, c in coeffs.items()
-    }
-
-
-def _certificate_key(arity: int, coeffs: dict) -> bytes:
-    """An exact key of (arity, ``coeffs``) that ignores insertion order: the
-    exponents in sorted order, one byte per coordinate, and their ints.
+def _certificate_key(arity: int, normalize: bool, coeffs: dict) -> bytes:
+    """An exact key of (arity, ``normalize``, ``coeffs``), blind to term
+    order: the exponents in sorted order, one byte per coordinate, and ints.
 
     Every coordinate must be below 256.  Version 2 of ``marshal`` writes
     no back-references, so equal values always give equal bytes.
     """
     exponents = sorted(coeffs)
     packed = bytes(itertools.chain.from_iterable(exponents))
-    return marshal.dumps((arity, packed, [coeffs[e] for e in exponents]), 2)
+    return marshal.dumps((arity, normalize, packed, [coeffs[e] for e in exponents]), 2)
 
 
 def lorentzian_certify(
@@ -723,9 +702,9 @@ def lorentzian_certify(
     support, then the spectrum of every order-(d-2) derivative quadratic
     form.  The first failing multiset in lexicographic order is reported.
     With ``normalize`` set, the certificate is that of ``normalize(poly)``,
-    read off the integer terms d! N(poly) without building N(poly).  A
-    ``cache`` dict keeps each certificate under its arity and certified
-    integer map, and a target with an equal key is answered from it; a
+    read off the integer-scaled terms of ``poly`` without building N(poly).
+    A ``cache`` dict keeps each certificate under its arity, the flag and
+    that integer map, and a target with an equal key is answered from it; a
     target of degree 256 or more is certified without it.  A ``supports``
     dict is handed to ``m_convex_failure`` as its ``cache``.
     """
@@ -735,20 +714,22 @@ def lorentzian_certify(
             poly.arity, None, (), NotHomogeneous((degrees[0], degrees[-1]))
         )
     degree = degrees[0] if degrees else None
-    coeffs = _certified_coefficients(poly, degree, normalize)
+    coeffs = _scaled_coefficients(poly)
     if cache is None or (degree is not None and degree >= 256):
-        return _certify_terms(poly.arity, degree, coeffs, supports)
-    key = _certificate_key(poly.arity, coeffs)
+        return _certify_terms(poly.arity, degree, coeffs, normalize, supports)
+    key = _certificate_key(poly.arity, normalize, coeffs)
     certificate = cache.get(key)
     if certificate is None:
-        certificate = cache[key] = _certify_terms(poly.arity, degree, coeffs, supports)
+        certificate = cache[key] = _certify_terms(poly.arity, degree, coeffs, normalize,
+                                                  supports)
     return certificate
 
 
-def _certify_terms(arity: int, degree, coeffs: dict, supports) -> LorentzCertificate:
-    """The certificate of a homogeneous polynomial of ``arity`` and
-    ``degree`` (None when zero), read off its certified map ``coeffs``;
-    ``supports`` is the ``m_convex_failure`` cache."""
+def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
+                   supports) -> LorentzCertificate:
+    """The certificate of the homogeneous polynomial of ``arity`` and ``degree``
+    (None when zero) with integer terms ``coeffs``, or of its normalization
+    with ``normalize`` set; ``supports`` is the ``m_convex_failure`` cache."""
     checks = [CHECK_HOMOGENEOUS]
     negative = [exponent for exponent, coeff in coeffs.items() if coeff < 0]
     if negative:
@@ -770,25 +751,27 @@ def _certify_terms(arity: int, degree, coeffs: dict, supports) -> LorentzCertifi
         # where x_k >= y_{k+1}, as no field holds more than degree + 2
         ordered = sum(steps[k + 1] for k in tied) << (width - 1)
         twos = 2 * sum(steps)
+        ones = (1,) * n
         hessians = {}
         for exponent, c in coeffs.items():
             key = sum(map(operator.mul, exponent, steps))
             if ordered and (((key >> width) + twos | high) - key) & ordered != ordered:
                 continue  # e_k + 2 < e_{k+1}: every alpha of this term has alpha_k < alpha_{k+1}
             hot = [i for i in range(n) if exponent[i]]
+            # c e_i (e_j - [i = j]) on a raw term, c on a normalized one
+            weights = ones if normalize else exponent
             for a, i in enumerate(hot):
-                scaled = c * exponent[i]
+                scaled = c * weights[i]
+                lead = -1 if normalize else i  # the j whose weight drops by one
                 key_i = key - steps[i]
-                for j in hot[a:]:
-                    value = scaled * (exponent[j] - (i == j))
-                    if not value:
-                        continue
+                for j in hot[a + (exponent[i] == 1):]:
                     alpha = key_i - steps[j]
                     if ordered and ((alpha >> width | high) - alpha) & ordered != ordered:
                         continue  # alpha_k < alpha_{k+1} for a tied k: not canonical
                     matrix = hessians.get(alpha)
                     if matrix is None:
                         matrix = hessians[alpha] = [[0] * n for _ in range(n)]
+                    value = scaled * (weights[j] - (j == lead))
                     matrix[i][j] = value
                     matrix[j][i] = value
         for alpha in sorted(hessians, reverse=True):  # sorted index tuples, ascending

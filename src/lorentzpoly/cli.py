@@ -137,12 +137,14 @@ def _cmd_gen(args) -> int:
 
 # The exchange scan takes time quadratic in the support; certify refuses a
 # support above this size that the certifier would scan without first
-# trying the rank test (``certify._pairwise_scan_shape``).  Just below it,
-# `lorentz certify` on e_2 in 63 variables (1,953 points, M-convex, so the
-# scan meets every point) takes 0.7-0.9 s, and on the first 2,000 terms of
-# e_2 in 64 variables (refuted at the first point) 0.2-0.35 s, on a 2-vCPU
-# 2.1 GHz Xeon with Python 3.11.7.
-MAX_SCAN_POINTS = 2000
+# trying the rank test (``certify._pairwise_scan_shape``).  Near it,
+# `lorentz certify` on e_2 in 89 variables (3,916 points, M-convex, so the
+# scan meets every point) takes 1.8-2.7 s, on e_2 in 90 variables less
+# x1 x_k for k = 2..6 (4,000 points, refuted at x1 x90, near the end of the
+# scan) 1.6-2.4 s, and on the first 4,000 terms of e_2 in 90 variables
+# (refuted at the first point) 0.4-0.6 s, at 30-35 MB, on a 2-vCPU 2.1 GHz
+# Xeon with Python 3.11.7.
+MAX_SCAN_POINTS = 4000
 
 
 def _check_scan_size(poly: Polynomial):

@@ -20,7 +20,6 @@ from lorentzpoly.certify import (
     NotHomogeneous,
     SupportNotMConvex,
     SymmetricMatrix,
-    _certified_coefficients,
     _multiset_indices,
     _scaled_coefficients,
     bivariate_ulc,
@@ -639,23 +638,6 @@ def test_packed_scan_finds_violations_at_the_largest_exponent(top):
     assert violations == root_direction_violations_by_lookup(h)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(polynomials_for_scan())
-def test_normalized_map_is_a_positive_multiple(h):
-    # d!/mu! is an integer whenever |mu| <= d, so the map is L d! N(h) with
-    # L the scale of h, homogeneous or not
-    degree = max((sum(e) for e in h.terms), default=0)
-    got = _certified_coefficients(h, degree, normalize=True)
-    scaled = _scaled_coefficients(h)
-    assert all(type(c) is int for c in got.values())
-    assert got == {e: c * math.factorial(degree) // math.prod(map(math.factorial, e))
-                   for e, c in scaled.items()}
-    want = _scaled_coefficients(normalize(h))
-    assert got.keys() == want.keys()
-    ratios = {Fraction(got[e], want[e]) for e in want}
-    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
-
-
 def _denormalized(h):
     """The p with normalize(p) == h: each term times mu!."""
     return Polynomial(h.arity, {
@@ -773,7 +755,7 @@ def homogeneous_int_maps(draw):
 def certify_streams(draw):
     """(polynomial, normalize) pairs that repeat a few bases, each time with
     its terms in another order and times a positive scale, which can give a
-    new polynomial the same certified map (x1/2 and x1/3 both read x1)."""
+    new polynomial the same scaled map (x1/2 and x1/3 both read x1)."""
     bases = draw(st.lists(st.one_of(homogeneous_int_maps(), *OUTCOMES.values()),
                           min_size=1, max_size=4))
     stream = []
@@ -793,10 +775,10 @@ def test_certificate_memo_matches_uncached(stream):
     for h, flag in stream:
         assert lorentzian_certify(h, normalize=flag, cache=cache) == \
             lorentzian_certify(h, normalize=flag)
-    # one entry per distinct (arity, certified map); inhomogeneous targets
+    # one entry per distinct (arity, flag, scaled map); inhomogeneous targets
     # are refused before the key is built
     distinct = {
-        (h.arity, frozenset(_certified_coefficients(h, h.homogeneous_degree(), flag).items()))
+        (h.arity, flag, frozenset(_scaled_coefficients(h).items()))
         for h, flag in stream
         if len({sum(e) for e in h.terms}) <= 1
     }
@@ -818,11 +800,14 @@ def test_certificate_memo_keys_on_arity_and_every_coefficient():
     h = poly("vars: 2\nx1^2 + x1 x2 + x2^2")
     reordered = poly("vars: 2\nx2^2 + x1 x2 + x1^2")
     bumped = poly("vars: 2\nx1^2 + 3 x1 x2 + x2^2")  # Lorentzian, unlike h
-    # only the arity tells the zero polynomials apart
-    for target in (h, reordered, bumped, h.with_arity(3), Polynomial.zero(2), Polynomial.zero(3)):
-        assert lorentzian_certify(target, cache=cache) == lorentzian_certify(target)
-    assert [c.is_lorentzian for c in cache.values()] == [False, True, False, True, True]
-    assert [c.arity for c in cache.values()] == [2, 2, 3, 2, 3]
+    # only the arity tells the zero polynomials apart, and only the flag
+    # tells h from N(h) = (x1 + x2)^2 / 2, which has the same scaled map
+    targets = (h, reordered, bumped, h.with_arity(3), Polynomial.zero(2), Polynomial.zero(3))
+    for target, flag in [(t, False) for t in targets] + [(h, True)]:
+        assert lorentzian_certify(target, normalize=flag, cache=cache) == \
+            lorentzian_certify(target, normalize=flag)
+    assert [c.is_lorentzian for c in cache.values()] == [False, True, False, True, True, True]
+    assert [c.arity for c in cache.values()] == [2, 2, 3, 2, 3, 2]
 
 
 def test_certificate_memo_skips_degree_256():

@@ -51,11 +51,11 @@ def lorentz(*args, stdin=None):
 
 
 def square_free_quadratic(points):
-    """The first ``points`` terms x_i x_j (i < j) of e_2 in 64 variables, in
-    lexicographic order of (i, j): all 64 coordinates vary, so the rank test
+    """The first ``points`` terms x_i x_j (i < j) of e_2 in 90 variables, in
+    lexicographic order of (i, j): all 90 coordinates vary, so the rank test
     of M-convexity is skipped and the support needs the pairwise scan."""
-    pairs = [(i, j) for i in range(1, 65) for j in range(i + 1, 65)][:points]
-    return "vars: 64\n" + " + ".join(f"x{i} x{j}" for i, j in pairs) + "\n"
+    pairs = [(i, j) for i in range(1, 91) for j in range(i + 1, 91)][:points]
+    return "vars: 90\n" + " + ".join(f"x{i} x{j}" for i, j in pairs) + "\n"
 
 
 class TestEnumeration:
@@ -357,17 +357,17 @@ class TestCli:
         )
 
     def test_certify_refuses_a_pairwise_scan_over_the_limit(self):
-        assert MAX_SCAN_POINTS == 2000
+        assert MAX_SCAN_POINTS == 4000
         result = lorentz("certify", "-", stdin=square_free_quadratic(MAX_SCAN_POINTS + 1))
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "error: support of 2001 points in 64 varying coordinates needs a pairwise "
-            "exchange scan, limited to 2000 points\n"
+            "error: support of 4001 points in 90 varying coordinates needs a pairwise "
+            "exchange scan, limited to 4000 points\n"
         )
 
     def test_certify_runs_a_pairwise_scan_at_the_limit(self):
-        # the last 16 pairs are missing, so the scan stops at a witness
+        # the last 5 pairs are missing, so the scan stops at a witness
         text = square_free_quadratic(MAX_SCAN_POINTS)
         result = lorentz("certify", "-", "--out", "json", stdin=text)
         assert result.returncode == 1
