@@ -129,6 +129,12 @@ included, and a sweep may certify such a pair once.  The key of a map is
 exact and ignores the order of its terms: its exponents in sorted order,
 one byte per coordinate, then their integers.
 
+A sweep also keeps the inertia of every Hessian it eliminates, under the
+bytes of its lower triangle, row by row.  The length n(n + 1)/2 fixes n and
+the matrix is symmetric, so equal keys are equal matrices, which have equal
+inertia.  Every entry is nonnegative once the signs have passed; a matrix
+with an entry of 256 or more has no such key, and is eliminated and not kept.
+
 Log-concavity along a root direction e_i - e_j fails at mu when c(mu)^2 <
 c(mu + e_i - e_j) c(mu - e_i + e_j).  A square is never negative, so the
 product on the right is positive and both neighbours of mu are terms.
@@ -608,6 +614,11 @@ class HessianFailure:
 
 Failure = Union[NegativeCoefficient, NotHomogeneous, SupportNotMConvex, HessianFailure]
 
+_STAGES = (CHECK_HOMOGENEOUS, CHECK_NONNEGATIVE, CHECK_M_CONVEX, CHECK_HESSIANS)
+# the number of stages a certificate passes before each kind of failure
+_STAGES_BEFORE = {NotHomogeneous: 0, NegativeCoefficient: 1, SupportNotMConvex: 2,
+                  HessianFailure: 3}
+
 
 @dataclass(frozen=True)
 class LorentzCertificate:
@@ -631,8 +642,9 @@ class LorentzCertificate:
         }
 
 
-def _failure_certificate(arity, degree, checks, failure):
-    return LorentzCertificate(NOT_LORENTZIAN, arity, degree, tuple(checks), failure)
+def _failure_certificate(arity, degree, failure):
+    checks = _STAGES[:_STAGES_BEFORE[type(failure)]]
+    return LorentzCertificate(NOT_LORENTZIAN, arity, degree, checks, failure)
 
 
 def _scaled_coefficients(poly: Polynomial) -> dict:
@@ -695,6 +707,7 @@ def lorentzian_certify(
     normalize: bool = False,
     cache: Optional[dict] = None,
     supports: Optional[dict] = None,
+    inertias: Optional[dict] = None,
 ) -> LorentzCertificate:
     """Decide the Lorentzian property with a re-checkable witness on failure.
 
@@ -706,40 +719,39 @@ def lorentzian_certify(
     A ``cache`` dict keeps each certificate under its arity, the flag and
     that integer map, and a target with an equal key is answered from it; a
     target of degree 256 or more is certified without it.  A ``supports``
-    dict is handed to ``m_convex_failure`` as its ``cache``.
+    dict is handed to ``m_convex_failure`` as its ``cache``, and an
+    ``inertias`` dict keeps the inertia of each Hessian under its bytes.
     """
     degrees = sorted({sum(e) for e in poly.terms})
     if len(degrees) > 1:
         return _failure_certificate(
-            poly.arity, None, (), NotHomogeneous((degrees[0], degrees[-1]))
+            poly.arity, None, NotHomogeneous((degrees[0], degrees[-1]))
         )
     degree = degrees[0] if degrees else None
     coeffs = _scaled_coefficients(poly)
     if cache is None or (degree is not None and degree >= 256):
-        return _certify_terms(poly.arity, degree, coeffs, normalize, supports)
+        return _certify_terms(poly.arity, degree, coeffs, normalize, supports, inertias)
     key = _certificate_key(poly.arity, normalize, coeffs)
     certificate = cache.get(key)
     if certificate is None:
         certificate = cache[key] = _certify_terms(poly.arity, degree, coeffs, normalize,
-                                                  supports)
+                                                  supports, inertias)
     return certificate
 
 
 def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
-                   supports) -> LorentzCertificate:
+                   supports, inertias) -> LorentzCertificate:
     """The certificate of the homogeneous polynomial of ``arity`` and ``degree``
     (None when zero) with integer terms ``coeffs``, or of its normalization
-    with ``normalize`` set; ``supports`` is the ``m_convex_failure`` cache."""
-    checks = [CHECK_HOMOGENEOUS]
+    with ``normalize`` set; ``supports`` is the ``m_convex_failure`` cache
+    and ``inertias`` the table of Hessian inertias."""
     negative = [exponent for exponent, coeff in coeffs.items() if coeff < 0]
     if negative:
-        return _failure_certificate(arity, degree, checks, NegativeCoefficient(min(negative)))
-    checks.append(CHECK_NONNEGATIVE)
+        return _failure_certificate(arity, degree, NegativeCoefficient(min(negative)))
 
     witness = m_convex_failure(coeffs, supports)
     if witness is not None:
-        return _failure_certificate(arity, degree, checks, SupportNotMConvex(*witness))
-    checks.append(CHECK_M_CONVEX)
+        return _failure_certificate(arity, degree, SupportNotMConvex(*witness))
 
     if degree is not None and degree >= 2:
         n = arity
@@ -752,6 +764,7 @@ def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
         ordered = sum(steps[k + 1] for k in tied) << (width - 1)
         twos = 2 * sum(steps)
         ones = (1,) * n
+        lower = [slice(k) for k in range(1, n + 1)]  # row k up to the diagonal
         hessians = {}
         for exponent, c in coeffs.items():
             key = sum(map(operator.mul, exponent, steps))
@@ -775,17 +788,27 @@ def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
                     matrix[i][j] = value
                     matrix[j][i] = value
         for alpha in sorted(hessians, reverse=True):  # sorted index tuples, ascending
-            signature = _inertia_int(hessians[alpha])
+            matrix = hessians[alpha]
+            shape = signature = None
+            if inertias is not None:
+                try:  # the exact matrix, read before _inertia_int overwrites its rows
+                    shape = bytes(itertools.chain.from_iterable(map(operator.getitem, matrix,
+                                                                    lower)))
+                    signature = inertias.get(shape)
+                except ValueError:  # an entry of 256 or more: eliminated, not kept
+                    pass
+            if signature is None:
+                signature = _inertia_int(matrix)
+                if shape is not None:  # one shared object per distinct signature
+                    inertias[shape] = inertias.setdefault(signature, signature)
             if signature.positive > 1:
                 return _failure_certificate(
                     arity,
                     degree,
-                    checks,
                     HessianFailure(_multiset_indices(_unpacked(alpha, width, n)), signature),
                 )
-        checks.append(CHECK_HESSIANS)
-
-    return LorentzCertificate(LORENTZIAN, arity, degree, tuple(checks))
+        return LorentzCertificate(LORENTZIAN, arity, degree, _STAGES)
+    return LorentzCertificate(LORENTZIAN, arity, degree, _STAGES[:3])
 
 
 def _pairwise_scan_shape(poly: Polynomial):
@@ -809,8 +832,11 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     Hessian witnesses are re-derived with repeated partial derivatives and
     the quadratic form constructor, independently of the coefficient
     formula used inside ``lorentzian_certify``.  A certificate must name the
-    arity and degree of ``poly``; a Lorentzian one also needs ``poly``
-    homogeneous with nonnegative coefficients, and is not re-checked further.
+    arity and degree of ``poly`` and the checks the certifier runs: every
+    stage for ``Lorentzian`` (``hessian_spectra`` from degree 2 only), those
+    before its failure for ``NotLorentzian``.  A Lorentzian one also needs
+    ``poly`` homogeneous with nonnegative coefficients, and is not
+    re-checked further.
     A witness that does not fit ``poly`` (an exchange index outside
     1..arity, a multiset not of d - 2 variables of ``poly``) is refused, and
     so is one whose fields are not of their types: each exponent, degree
@@ -818,14 +844,17 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     """
     if certificate.arity != poly.arity or certificate.degree != poly.homogeneous_degree():
         return False
+    failure = certificate.failure
     if certificate.is_lorentzian:
         return (
-            certificate.failure is None
+            failure is None
+            and certificate.checks == (_STAGES if (certificate.degree or 0) >= 2 else _STAGES[:3])
             and len({sum(e) for e in poly.terms}) <= 1
             and all(c >= 0 for c in poly.terms.values())
         )
-    failure = certificate.failure
-    if failure is None:
+    passed = _STAGES_BEFORE.get(type(failure))
+    if (certificate.verdict != NOT_LORENTZIAN or passed is None
+            or certificate.checks != _STAGES[:passed]):
         return False
     if isinstance(failure, NotHomogeneous):
         if not _int_tuple(failure.degrees) or len(failure.degrees) != 2:
@@ -845,18 +874,16 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
                 or alpha[i] <= beta[i]):
             return False
         return not _exchange_ok(support, alpha, beta, i)
-    if isinstance(failure, HessianFailure):
-        multiset = failure.multiset
-        if (certificate.degree is None or not _int_tuple(multiset)
-                or len(multiset) != certificate.degree - 2
-                or not all(1 <= index <= poly.arity for index in multiset)):
-            return False
-        derivative = poly
-        for index in multiset:
-            derivative = derivative.partial_derivative(index)
-        signature = inertia(quadratic_form_matrix(derivative))
-        return signature == failure.inertia and signature.positive >= 2
-    return False
+    multiset = failure.multiset  # a HessianFailure
+    if (certificate.degree is None or not _int_tuple(multiset)
+            or len(multiset) != certificate.degree - 2
+            or not all(1 <= index <= poly.arity for index in multiset)):
+        return False
+    derivative = poly
+    for index in multiset:
+        derivative = derivative.partial_derivative(index)
+    signature = inertia(quadratic_form_matrix(derivative))
+    return signature == failure.inertia and signature.positive >= 2
 
 
 # -- bivariate criterion and coefficient log-concavity --------------------

@@ -246,16 +246,17 @@ def _signed_components(payload, raw):
 
 
 # Memo tables of the divided-difference recursions, the branching rules,
-# the certificates of families with repeated targets and the M-convexity
+# the certificates of families with repeated targets, the M-convexity
 # answers of every family (keyed on the support with its constant
-# coordinates dropped, translated to the origin), emptied when one
+# coordinates dropped, translated to the origin) and the Hessian inertias
+# of every certify-mode target (keyed on the exact matrix), emptied when one
 # ``run_sweep`` starts and when it returns.  The two permutation tables
 # hold one root path of the descent tree, at most n(n-1)/2 + 1 term maps;
 # the others grow with the sweep.  Inserts are idempotent, so concurrent
 # workers each filling their own copy agree.
 _CACHES = {
     "schubert": RootPath(), "grothendieck": RootPath(), "schur": {}, "schur_p": {},
-    "certify": {}, "supports": {},
+    "certify": {}, "supports": {}, "inertias": {},
 }
 
 
@@ -276,7 +277,9 @@ class Family:
     repeat, and the keys cost more than they save.  Supports repeat far more
     often than targets once translation and constant coordinates are set
     aside, so every family, in certify and ``support_only`` mode alike,
-    hands ``_CACHES["supports"]`` to ``m_convex_failure``.
+    hands ``_CACHES["supports"]`` to ``m_convex_failure``.  Hessians repeat
+    across the targets of a sweep, rarely within one, so every certify-mode
+    target shares ``_CACHES["inertias"]``.
     The permutation families yield S_n in descent-tree preorder and keep
     their term maps in ``RootPath`` tables, which hold only the path from
     w_0 to the current instance; a serial sweep of all of S_n applies one
@@ -394,7 +397,8 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
         cache = _CACHES["certify"] if family.repeats else None
         for label, target in family.targets(payload, raw):
             certificate = lorentzian_certify(target, normalize=family.normalize, cache=cache,
-                                             supports=_CACHES["supports"])
+                                             supports=_CACHES["supports"],
+                                             inertias=_CACHES["inertias"])
             if not certificate.is_lorentzian:
                 return _failure(spec, instance_id, label,
                                 f"{label}: {certificate.failure.kind}", certificate.to_dict())

@@ -16,10 +16,12 @@ import lorentzpoly
 from lorentzpoly.certify import (
     HessianFailure,
     InertiaSignature,
+    LorentzCertificate,
     NegativeCoefficient,
     NotHomogeneous,
     SupportNotMConvex,
     SymmetricMatrix,
+    _inertia_int,
     _multiset_indices,
     _scaled_coefficients,
     bivariate_ulc,
@@ -305,6 +307,36 @@ class TestCertifier:
         assert cert.failure == NotHomogeneous((1, 2))
         assert verify_certificate(poly("vars: 2\nx1 + x1 x2"), cert)
         assert not verify_certificate(poly("vars: 3\nx1 + x2 x3"), cert)
+
+    @pytest.mark.parametrize("text, forged", [
+        # once accepted: no stage run, yet Lorentzian
+        ("x1^2 + x1 x2 + x2^2", LorentzCertificate("Lorentzian", 2, 2, ())),
+        ("x1 x2", LorentzCertificate("Lorentzian", 2, 2, (
+            "homogeneous", "nonnegative_coefficients", "m_convex_support"))),
+        # below degree 2 no Hessian is checked
+        ("x1 + x2", LorentzCertificate("Lorentzian", 2, 1, (
+            "homogeneous", "nonnegative_coefficients", "m_convex_support", "hessian_spectra"))),
+        # once accepted: a Hessian failure that claims its own stage passed
+        (FLAT_CUBIC, LorentzCertificate("NotLorentzian", 2, 3, (
+            "homogeneous", "nonnegative_coefficients", "m_convex_support", "hessian_spectra"),
+            HessianFailure((1,), InertiaSignature(2, 0, 0)))),
+        ("x1^2 + x2^2", LorentzCertificate("NotLorentzian", 2, 2, ("homogeneous",),
+                                           SupportNotMConvex((2, 0), (0, 2), 1))),
+        ("x1 + x1 x2", LorentzCertificate("NotLorentzian", 2, None, ("homogeneous",),
+                                          NotHomogeneous((1, 2)))),
+        # once accepted: a valid failure under a verdict of neither kind
+        ("x1^2 - x2^2", LorentzCertificate("Maybe", 2, 2, ("homogeneous",),
+                                           NegativeCoefficient((0, 2)))),
+        (FLAT_CUBIC, LorentzCertificate("lorentzian", 2, 3, (
+            "homogeneous", "nonnegative_coefficients", "m_convex_support"),
+            HessianFailure((1,), InertiaSignature(2, 0, 0)))),
+    ])
+    def test_certificate_that_contradicts_itself_is_refused(self, text, forged):
+        target = poly("vars: 2\n" + text)
+        honest = lorentzian_certify(target)
+        assert verify_certificate(target, honest)
+        assert honest.checks != forged.checks or honest.verdict != forged.verdict
+        assert verify_certificate(target, forged) is False
 
     def test_derivative_closure(self):
         seeds = [normalize(schur(lam, 3)) for lam in partitions_within(5, 3)]
@@ -816,6 +848,69 @@ def test_certificate_memo_skips_degree_256():
         h = Polynomial.monomial(2, (degree, 0))
         assert lorentzian_certify(h, cache=cache) == lorentzian_certify(h)
     assert [c.degree for c in cache.values()] == [255]
+
+
+def _checked_table(inertias):
+    """Each bytes key of an inertia table against a fresh elimination of
+    the matrix it spells, and each signature kept as one shared object."""
+    for key, signature in inertias.items():
+        if isinstance(key, bytes):
+            n = math.isqrt(2 * len(key))  # the lower triangle, row by row
+            assert n * (n + 1) == 2 * len(key)
+            rows = [list(key[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]) for i in range(n)]
+            matrix = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+            assert signature == _inertia_int(matrix)
+            assert inertias[signature] is signature
+        else:
+            assert key is signature
+
+
+@st.composite
+def inertia_streams(draw):
+    """(polynomial, normalize) pairs of mixed arities that share Hessians:
+    block-symmetric forms, raw Schur polynomials (whose Hessians fail from
+    lambda = (2)), products and the generated outcomes, each drawn a few
+    times with its terms reordered and rescaled."""
+    schur_targets = st.builds(
+        schur, st.sampled_from(list(partitions_within(4, 3))), st.integers(1, 4))
+    kinds = [block_symmetric_forms(), sparse_block_symmetric_forms(), schur_targets,
+             raised_products_of_linear_forms(), homogeneous_int_maps(), *OUTCOMES.values()]
+    bases = draw(st.lists(st.one_of(kinds), min_size=1, max_size=4))
+    stream = []
+    for _ in range(draw(st.integers(1, 10))):
+        base = draw(st.sampled_from(bases))
+        items = draw(st.permutations(list(base.terms.items())))
+        scale = draw(st.sampled_from([1, 3, Fraction(1, 2)]))
+        stream.append((Polynomial(base.arity, {e: c * scale for e, c in items}),
+                       draw(st.booleans())))
+    return stream
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inertia_streams())
+def test_inertia_table_keeps_every_certificate(stream):
+    # the certificates, witnesses and inertias included, from one table
+    # that every target of the stream fills and reads
+    inertias = {}
+    for h, flag in stream:
+        assert lorentzian_certify(h, normalize=flag, inertias=inertias) == \
+            lorentzian_certify(h, normalize=flag)
+    _checked_table(inertias)
+
+
+def test_inertia_table_holds_no_matrix_with_an_entry_of_256():
+    # x1^2 + c x1 x2 + x2^2 has the one Hessian [[2, c], [c, 2]] raw and
+    # [[1, c], [c, 1]] normalized
+    inertias = {}
+    for text, flag in [("3 x1 x2", False), ("300 x1 x2", False), ("300 x1 x2", True),
+                       ("255 x1 x2", True)]:
+        h = poly("vars: 2\nx1^2 + " + text + " + x2^2")
+        assert lorentzian_certify(h, normalize=flag, inertias=inertias) == \
+            lorentzian_certify(h, normalize=flag)
+    signature = InertiaSignature(1, 1, 0)
+    assert inertias == {bytes([2, 3, 2]): signature, signature: signature,
+                        bytes([1, 255, 1]): signature}
+    _checked_table(inertias)
 
 
 @st.composite

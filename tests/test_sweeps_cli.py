@@ -258,6 +258,35 @@ class TestSweeps:
         unmemoized.pop("wall_time_s")
         assert memoized == unmemoized
 
+    def test_inertia_table_eliminates_each_hessian_once(self, monkeypatch):
+        # the same report with the inertia table as with one that never
+        # stores, from fewer eliminations: 53 distinct Hessians among the
+        # 422 that the normalized Schubert polynomials of S5 hand the certifier
+        import lorentzpoly.certify as certify_module
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        eliminated = []
+        route = certify_module._inertia_int
+
+        def counted(rows):
+            eliminated.append(None)
+            return route(rows)
+
+        monkeypatch.setattr(certify_module, "_inertia_int", counted)
+        spec = SweepSpec("schubert", "certify", SweepBounds(n=5))
+        memoized = run_sweep(spec).to_dict()
+        with_table = len(eliminated)
+        monkeypatch.setitem(sweeps._CACHES, "inertias", Forgetful())
+        eliminated.clear()
+        unmemoized = run_sweep(spec).to_dict()
+        assert (with_table, len(eliminated)) == (53, 422)
+        memoized.pop("wall_time_s")
+        unmemoized.pop("wall_time_s")
+        assert memoized == unmemoized
+
     @pytest.mark.parametrize("family, mode, n, only", [
         *[(family, mode, 6, None) for family in MEMO_FAMILIES for mode in MODES],
         ("schubert", "certify", 7, None),
