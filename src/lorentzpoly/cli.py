@@ -137,7 +137,10 @@ def _cmd_gen(args) -> int:
 
 # The exchange scan takes time quadratic in the support; certify refuses a
 # support above this size that the certifier would scan without first
-# trying the rank test (``certify._pairwise_scan_shape``).  Near it,
+# trying the rank test (``certify._pairwise_scan_shape``).  The rank test
+# runs first when its 2^m subsets of the m varying coordinates are at most
+# |S|, or when m <= 7 and they are at most 4 |S|; the second case only
+# takes supports of fewer than 2^7 = 128 points.  Near the limit,
 # `lorentz certify` on e_2 in 89 variables (3,916 points, M-convex, so the
 # scan meets every point) takes 1.8-2.7 s, on e_2 in 90 variables less
 # x1 x_k for k = 2..6 (4,000 points, refuted at x1 x90, near the end of the

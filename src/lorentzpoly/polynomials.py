@@ -435,34 +435,57 @@ def _blank(match) -> str:
 
 def _read_terms(matches, arity: int):
     """The terms of a body from ``_TERM_RE.findall``, less its final empty
-    match, or None if the body is malformed anywhere."""
+    match and its zero terms, or None if the body is malformed anywhere.
+
+    Each distinct coefficient and each distinct factor is read once per
+    call, checked on its first sight: ``coefficients`` maps (sign, num,
+    den) to its Fraction and ``places`` a factor to (index - 1, power).
+    """
     terms: dict[Exponent, Fraction] = {}
+    coefficients = {}
+    places = {}
+    zero = False  # some coefficient, or some sum of repeated terms, is zero
     try:
         for sign, num, den, factors in matches:
             if not (num or factors) or not sign and terms:
                 return None  # no term, or no sign before a term but the first
-            if num:
-                num = int(num)
-                den = int(den) if den else 1
-                if not den:
-                    return None
-                coeff = Fraction(-num if sign == "-" else num, den)
-            else:
-                coeff = _MINUS_ONE if sign == "-" else _ONE
+            coeff = coefficients.get((sign, num, den))
+            if coeff is None:
+                if num:
+                    numerator = int(num)
+                    denominator = int(den) if den else 1
+                    if not denominator:
+                        return None
+                    coeff = Fraction(-numerator if sign == "-" else numerator, denominator)
+                    zero = zero or not numerator
+                else:
+                    coeff = _MINUS_ONE if sign == "-" else _ONE
+                coefficients[sign, num, den] = coeff
             exponent = [0] * arity
             # "x1^2 x3 " splits into "", "1^2 ", "3 "; int() skips the spaces
             for factor in factors.split("x")[1:]:
-                index, _, power = factor.partition("^")
-                index = int(index)
-                if not 0 < index <= arity:
-                    return None
-                exponent[index - 1] += int(power) if power else 1
+                place = places.get(factor)
+                if place is None:
+                    index, _, power = factor.partition("^")
+                    index = int(index)
+                    if not 0 < index <= arity:
+                        return None
+                    place = places[factor] = (index - 1, int(power) if power else 1)
+                exponent[place[0]] += place[1]
             key = tuple(exponent)
             previous = terms.get(key)
-            terms[key] = coeff if previous is None else previous + coeff
+            if previous is None:
+                terms[key] = coeff
+            else:
+                terms[key] = total = previous + coeff
+                zero = zero or not total
     except ValueError:  # a number past int()'s digit limit
         return None
-    return terms or None
+    if not terms:
+        return None
+    if zero:
+        return {e: c for e, c in terms.items() if c}
+    return terms
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -498,8 +521,7 @@ def parse_polynomial(text: str) -> Polynomial:
     matches.pop()  # the empty match at the end of the body; any other is an error
     terms = _read_terms(matches, arity)
     if terms is not None:
-        # the exponents are built here, so only zero sums need dropping
-        return Polynomial._raw(arity, {e: c for e, c in terms.items() if c})
+        return Polynomial._raw(arity, terms)
 
     def fail(message, pos):
         line = header_line + 1 + body.count("\n", 0, pos)

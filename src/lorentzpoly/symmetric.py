@@ -354,18 +354,20 @@ def _kostant_counts(delta: tuple) -> dict:
 
     current: dict[tuple, int] = {(0,) * m: 1}
     for t, (j, i) in enumerate(factors):
-        # factor for the pair (i > j): sum_k x_i^k x_j^-k, 0 <= k <= cap
+        # factor for the pair (i > j): sum_k x_i^k x_j^-k, 0 <= k <= cap.
+        # Every kept exponent is viable (the zero start too, as delta >= 0);
+        # only coordinates i and j move, and only i loses a later raise, so
+        # the viable k are one interval: e_i + k + slack_i >= 0 and
+        # e_j - k + slack_j >= 0.
+        slack_i = delta[i] + cap * raises_left[t + 1][i]
+        slack_j = delta[j] + cap * raises_left[t + 1][j]
         nxt: dict[tuple, int] = {}
         for exponent, coeff in current.items():
-            for k in range(cap + 1):
-                e = list(exponent)
-                e[i] += k
-                e[j] -= k
-                viable = all(
-                    e[c] + delta[c] + cap * raises_left[t + 1][c] >= 0 for c in range(m)
-                )
-                if not viable:
-                    continue
+            e = list(exponent)
+            e_i, e_j = e[i], e[j]
+            for k in range(max(0, -(e_i + slack_i)), min(cap, e_j + slack_j) + 1):
+                e[i] = e_i + k
+                e[j] = e_j - k
                 key = tuple(e)
                 nxt[key] = nxt.get(key, 0) + coeff
         current = nxt

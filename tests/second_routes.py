@@ -18,7 +18,9 @@ the first Hessian failure by differentiating along each derivative
 multiset, with no symmetry reduction (versus one pass over the terms, one
 multiset per symmetry orbit), the Kostant partition function by a bounded
 knapsack over the negative roots (versus one truncated product expansion
-on int counts, shared with the Verma character), the isobaric operator
+on int counts, shared with the Verma character), that expansion testing
+every coordinate for every power of every factor (versus one interval of
+viable powers per partial product), the isobaric operator
 pi_i as d_i(p) - d_i(x_{i+1} p) in ``Polynomial`` arithmetic (versus one
 shift and one subtraction on the term map before a single d_i), degree
 polynomials from
@@ -277,6 +279,34 @@ def kostant_partition_by_knapsack(v) -> int:
         settled.append(settled[-1] - {a, b})
     settled.reverse()
     return _kostant_ways(0, v, roots, settled, bound, {})
+
+
+def kostant_counts_by_full_check(delta: tuple) -> dict:
+    """``symmetric._kostant_counts``, insertion order included, with every
+    power k of every factor kept only when each coordinate of the partial
+    product can still be brought to zero or above by later factors and the
+    shift by x^delta."""
+    m = len(delta)
+    cap = sum(delta)
+    factors = _negative_roots(m)
+    raises_left = [[0] * m for _ in range(len(factors) + 1)]
+    for t in range(len(factors) - 1, -1, -1):
+        raises_left[t] = list(raises_left[t + 1])
+        raises_left[t][factors[t][1]] += 1
+    current = {(0,) * m: 1}
+    for t, (j, i) in enumerate(factors):
+        nxt = {}
+        for exponent, coeff in current.items():
+            for k in range(cap + 1):
+                e = list(exponent)
+                e[i] += k
+                e[j] -= k
+                if all(e[c] + delta[c] + cap * raises_left[t + 1][c] >= 0 for c in range(m)):
+                    key = tuple(e)
+                    nxt[key] = nxt.get(key, 0) + coeff
+        current = nxt
+    return {tuple(e + d for e, d in zip(exponent, delta)): coeff
+            for exponent, coeff in current.items()}
 
 
 # Marked shifted tableaux: entries come from the ordered alphabet

@@ -7,7 +7,10 @@ positions of all later points.  The slow oracle,
 ``second_routes.exchange_scan_by_pairs``, builds and looks up the moved
 points of every pair.  All must give the same verdict and the same first
 witness on every input, and so must ``m_convex_failure`` answering from a
-table of support shapes.  Besides the small sets, the scan meets supports
+table of support shapes.  The rank test runs first when 2^m <= |S| for m
+varying coordinates, or when m <= 7 and 2^m <= 4 |S|; supports of that
+band, with one varying coordinate, and on either side of it are checked
+apart.  Besides the small sets, the scan meets supports
 of more than 64 and more than 256 points, whose bit sets span several
 machine words, square-free quadratic supports in up to 64 variables,
 coordinates spanning 128 or more, which widen the packed fields, and
@@ -374,6 +377,59 @@ def test_negative_entries(points):
     assert_agrees(points)
 
 
+@st.composite
+def rank_test_band(draw):
+    """Supports with m = 3 to 7 varying coordinates and |S| < 2^m <= 4 |S|,
+    which the rank test decides before the scan: products of linear forms
+    in 3 to 7 variables, as they are, less one point, with one point of
+    the same degree added, or with one point raised by a unit vector, so
+    that the coordinate sums are not constant."""
+    n = draw(st.integers(3, 7))
+    forms = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True),
+                          min_size=1, max_size=4))
+    support = {(0,) * n}
+    for form in forms:
+        support = multiplied(support, form)
+    pts = sorted(support)
+    edit = draw(st.sampled_from(["keep", "drop", "add", "raise"]))
+    if edit == "drop":
+        support = support - {draw(st.sampled_from(pts))}
+    elif edit == "add":
+        support = support | {draw(st.sampled_from(compositions(len(forms), n)))}
+    elif edit == "raise":
+        point = list(draw(st.sampled_from(pts)))
+        point[draw(st.integers(0, n - 1))] += 1
+        support = support | {tuple(point)}
+    m = varying(support)
+    assume(3 <= m <= 7 and len(support) < 2**m <= 4 * len(support))
+    return support
+
+
+@GENERATED
+@given(rank_test_band())
+def test_rank_test_band(points):
+    assert certify._rank_test_runs(varying(points), len(points))
+    assert_agrees(points)
+
+
+@st.composite
+def one_varying_coordinate(draw):
+    """Two to five values of one coordinate, the others held at drawn
+    constants: m = 1, and never a constant coordinate sum."""
+    n = draw(st.integers(1, 3))
+    at = draw(st.integers(0, n - 1))
+    base = draw(st.tuples(*[st.integers(0, 3)] * n))
+    values = draw(st.sets(st.integers(-2, 5), min_size=2, max_size=5))
+    return {base[:at] + (v,) + base[at + 1:] for v in values}
+
+
+@GENERATED
+@given(one_varying_coordinate())
+def test_one_varying_coordinate(points):
+    assert m_convex_failure(points) is not None
+    assert_agrees(points)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_supports(family):
     bounds, _ = SWEEPS[family]
@@ -409,3 +465,17 @@ def test_scan_decides_when_rank_test_would_cost_more(monkeypatch):
 def test_rank_test_decides_without_scan(monkeypatch):
     monkeypatch.setattr(certify, "_exchange_scan", _refuse)
     assert m_convex_failure(normalize(schur((3, 2, 1), 4)).terms) is None
+
+
+def test_rank_test_decides_in_the_band_without_scan(monkeypatch):
+    """The support of (x1 + ... + x7)^3: 84 points in 7 varying
+    coordinates, 84 < 2^7 <= 4 * 84."""
+    monkeypatch.setattr(certify, "_exchange_scan", _refuse)
+    assert m_convex_failure(compositions(3, 7)) is None
+
+
+def test_scan_decides_past_the_band(monkeypatch):
+    """The support of (x1 + ... + x8)^3: 120 points in 8 varying
+    coordinates.  2^8 <= 4 * 120, but the band stops at 7 coordinates."""
+    monkeypatch.setattr(certify, "_rank_m_convex", _refuse)
+    assert m_convex_failure(compositions(3, 8)) is None

@@ -225,7 +225,9 @@ class TestSweeps:
 
     @pytest.mark.parametrize("spec, failures, runs", [
         (SweepSpec("schubert", "certify", SweepBounds(n=5)), 0, (28, 120)),
-        (SweepSpec("grothendieck", "support_only", SweepBounds(n=5)), 78, (45, 149)),
+        # a failing support that the rank test decides is scanned for its
+        # witness too, so each route counts
+        (SweepSpec("grothendieck", "support_only", SweepBounds(n=5)), 78, (55, 198)),
     ])
     def test_support_memo_decides_each_shape_once(self, monkeypatch, spec, failures, runs):
         # the same report with the support table as with one that never

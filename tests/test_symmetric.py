@@ -24,6 +24,7 @@ from lorentzpoly.symmetric import (
     Partition,
     SkewShape,
     StrictPartition,
+    _kostant_counts,
     complement_partition,
     complete_homogeneous,
     kostant_partition,
@@ -37,6 +38,7 @@ from lorentzpoly.sweeps import partitions_within
 
 from second_routes import (
     alternant,
+    kostant_counts_by_full_check,
     kostant_partition_by_knapsack,
     kostka_by_tableaux,
     schur_p_by_marked_tableaux,
@@ -340,6 +342,15 @@ class TestKostant:
     @example((-3, -3, -3, 3, 3, 3))
     def test_matches_the_knapsack_beyond_the_window(self, v):
         assert kostant_partition(v) == kostant_partition_by_knapsack(v)
+
+    def test_expansion_keeps_terms_and_order(self):
+        # one interval of viable powers per partial product gives the map
+        # of the full check, in its insertion order
+        deltas = [d for m in (1, 2, 3) for d in itertools.product(range(5), repeat=m)]
+        deltas += list(itertools.product(range(4), repeat=4))
+        for delta in deltas:
+            expected = kostant_counts_by_full_check(delta)
+            assert list(_kostant_counts(delta).items()) == list(expected.items())
 
     def test_leaves_no_reference_cycles(self):
         # the knapsack memo goes with the call
