@@ -137,7 +137,8 @@ pairs and every Hessian are read off its terms.  Two targets with equal
 translate or half-turn, therefore get equal certificates, witnesses
 included, and a sweep may certify such a pair once.  The key of a map is
 exact and ignores the order of its terms: its exponents in sorted order,
-one byte per coordinate, then their integers.
+one byte per coordinate, or a list of ints once a coordinate reaches 256,
+then their integers.  Supports are keyed by the same rule (``_packed``).
 
 A sweep also keeps the inertia of every Hessian it eliminates, under the
 bytes of its lower triangle, row by row.  The length n(n + 1)/2 fixes n and
@@ -368,19 +369,23 @@ def _rank_test_runs(varying: int, size: int) -> bool:
     return varying > 0 and (subsets <= size or varying <= 7 and subsets <= 4 * size)
 
 
+def _packed(values: list):
+    """``values`` as bytes, one per value, or the list itself once a value
+    is 256 or more; ``marshal`` writes the two under different type codes,
+    so a key holding one never equals a key holding the other."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return values
+
+
 def _support_key(size: int, columns, lows, moving) -> bytes:
     """An exact key of a sorted support of ``size`` points with ``columns``:
     the size, then each varying column k less its least value ``lows[k]``,
-    in sorted point order, one byte per value, or as a list of ints when
-    some value is 256 or more.  The size and the number of values give the
-    number of varying columns.
+    in sorted point order, by ``_packed``.  The size and the number of
+    values give the number of varying columns.
     """
-    shifted = [v - lows[k] for k in moving for v in columns[k]]
-    try:
-        packed = bytes(shifted)
-    except ValueError:
-        packed = shifted
-    return marshal.dumps((size, packed), 2)
+    return marshal.dumps((size, _packed([v - lows[k] for k in moving for v in columns[k]])), 2)
 
 
 def _reduced_failure(pts, columns, moving):
@@ -486,20 +491,9 @@ class SymmetricMatrix:
         return f"SymmetricMatrix({[list(r) for r in self.rows]})"
 
 
-def _denominator_lcm(values) -> int:
-    """Least common multiple of the denominators of some Fractions.
-
-    An explicit gcd loop: ``math.lcm(*...)`` unpacks every value at once.
-    """
-    scale = 1
-    for value in values:
-        scale = scale * value.denominator // math.gcd(scale, value.denominator)
-    return scale
-
-
 def _integer_scaled(matrix: SymmetricMatrix):
     """Integer matrix L * M for the least positive L clearing denominators."""
-    scale = _denominator_lcm(itertools.chain.from_iterable(matrix.rows))
+    scale = math.lcm(*{v.denominator for row in matrix.rows for v in row})
     return [[int(v * scale) for v in row] for row in matrix.rows], scale
 
 
@@ -642,15 +636,29 @@ _STAGES_BEFORE = {NotHomogeneous: 0, NegativeCoefficient: 1, SupportNotMConvex: 
 
 @dataclass(frozen=True)
 class LorentzCertificate:
-    verdict: str
+    """The outcome of ``lorentzian_certify``: the arity and degree of the
+    target (None when it is zero or not homogeneous) and its first failure,
+    None when it is Lorentzian.  The verdict and the stages passed follow
+    from these: a failure passes the stages before its own, and a Lorentzian
+    target passes every stage, ``hessian_spectra`` from degree 2 only."""
+
     arity: int
     degree: Optional[int]
-    checks: tuple
     failure: Optional[Failure] = None
 
     @property
     def is_lorentzian(self) -> bool:
-        return self.verdict == LORENTZIAN
+        return self.failure is None
+
+    @property
+    def verdict(self) -> str:
+        return LORENTZIAN if self.failure is None else NOT_LORENTZIAN
+
+    @property
+    def checks(self) -> tuple:
+        if self.failure is not None:
+            return _STAGES[:_STAGES_BEFORE[type(self.failure)]]
+        return _STAGES if (self.degree or 0) >= 2 else _STAGES[:3]
 
     def to_dict(self):
         return {
@@ -662,15 +670,10 @@ class LorentzCertificate:
         }
 
 
-def _failure_certificate(arity, degree, failure):
-    checks = _STAGES[:_STAGES_BEFORE[type(failure)]]
-    return LorentzCertificate(NOT_LORENTZIAN, arity, degree, checks, failure)
-
-
 def _scaled_coefficients(poly: Polynomial) -> dict:
     """The terms of ``poly`` times the least positive integer clearing their
     denominators, as exponent -> int."""
-    scale = _denominator_lcm(poly.terms.values())
+    scale = math.lcm(*{c.denominator for c in poly.terms.values()})
     return {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
 
 
@@ -711,13 +714,14 @@ def _unpacked(key: int, width: int, n: int, offset: int = 0) -> tuple:
 
 def _certificate_key(arity: int, normalize: bool, coeffs: dict) -> bytes:
     """An exact key of (arity, ``normalize``, ``coeffs``), blind to term
-    order: the exponents in sorted order, one byte per coordinate, and ints.
+    order: the coordinates of the exponents in sorted order, by ``_packed``,
+    and the ints.
 
-    Every coordinate must be below 256.  Version 2 of ``marshal`` writes
-    no back-references, so equal values always give equal bytes.
+    Version 2 of ``marshal`` writes no back-references, so equal values
+    always give equal bytes.
     """
     exponents = sorted(coeffs)
-    packed = bytes(itertools.chain.from_iterable(exponents))
+    packed = _packed(list(itertools.chain.from_iterable(exponents)))
     return marshal.dumps((arity, normalize, packed, [coeffs[e] for e in exponents]), 2)
 
 
@@ -737,19 +741,17 @@ def lorentzian_certify(
     With ``normalize`` set, the certificate is that of ``normalize(poly)``,
     read off the integer-scaled terms of ``poly`` without building N(poly).
     A ``cache`` dict keeps each certificate under its arity, the flag and
-    that integer map, and a target with an equal key is answered from it; a
-    target of degree 256 or more is certified without it.  A ``supports``
-    dict is handed to ``m_convex_failure`` as its ``cache``, and an
-    ``inertias`` dict keeps the inertia of each Hessian under its bytes.
+    that integer map, of any degree, and a target with an equal key is
+    answered from it.  A ``supports`` dict is handed to ``m_convex_failure``
+    as its ``cache``, and an ``inertias`` dict keeps the inertia of each
+    Hessian under its bytes.
     """
     degrees = sorted({sum(e) for e in poly.terms})
     if len(degrees) > 1:
-        return _failure_certificate(
-            poly.arity, None, NotHomogeneous((degrees[0], degrees[-1]))
-        )
+        return LorentzCertificate(poly.arity, None, NotHomogeneous((degrees[0], degrees[-1])))
     degree = degrees[0] if degrees else None
     coeffs = _scaled_coefficients(poly)
-    if cache is None or (degree is not None and degree >= 256):
+    if cache is None:
         return _certify_terms(poly.arity, degree, coeffs, normalize, supports, inertias)
     key = _certificate_key(poly.arity, normalize, coeffs)
     certificate = cache.get(key)
@@ -767,11 +769,11 @@ def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
     and ``inertias`` the table of Hessian inertias."""
     negative = [exponent for exponent, coeff in coeffs.items() if coeff < 0]
     if negative:
-        return _failure_certificate(arity, degree, NegativeCoefficient(min(negative)))
+        return LorentzCertificate(arity, degree, NegativeCoefficient(min(negative)))
 
     witness = m_convex_failure(coeffs, supports)
     if witness is not None:
-        return _failure_certificate(arity, degree, SupportNotMConvex(*witness))
+        return LorentzCertificate(arity, degree, SupportNotMConvex(*witness))
 
     if degree is not None and degree >= 2:
         n = arity
@@ -822,13 +824,12 @@ def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
                 if shape is not None:  # one shared object per distinct signature
                     inertias[shape] = inertias.setdefault(signature, signature)
             if signature.positive > 1:
-                return _failure_certificate(
+                return LorentzCertificate(
                     arity,
                     degree,
                     HessianFailure(_multiset_indices(_unpacked(alpha, width, n)), signature),
                 )
-        return LorentzCertificate(LORENTZIAN, arity, degree, _STAGES)
-    return LorentzCertificate(LORENTZIAN, arity, degree, _STAGES[:3])
+    return LorentzCertificate(arity, degree)
 
 
 def _pairwise_scan_shape(poly: Polynomial):
@@ -851,12 +852,11 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
 
     Hessian witnesses are re-derived with repeated partial derivatives and
     the quadratic form constructor, independently of the coefficient
-    formula used inside ``lorentzian_certify``.  A certificate must name the
-    arity and degree of ``poly`` and the checks the certifier runs: every
-    stage for ``Lorentzian`` (``hessian_spectra`` from degree 2 only), those
-    before its failure for ``NotLorentzian``.  A Lorentzian one also needs
-    ``poly`` homogeneous with nonnegative coefficients, and is not
-    re-checked further.
+    formula used inside ``lorentzian_certify``.  A certificate is its
+    arity, degree and failure, and its arity and degree must be those of
+    ``poly``.  A Lorentzian one, with no failure, also needs ``poly``
+    homogeneous with nonnegative coefficients, and is not re-checked
+    further; a failure of no kind the certifier reports is refused.
     A witness that does not fit ``poly`` (an exchange index outside
     1..arity, a multiset not of d - 2 variables of ``poly``) is refused, and
     so is one whose fields are not of their types: each exponent, degree
@@ -865,16 +865,9 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     if certificate.arity != poly.arity or certificate.degree != poly.homogeneous_degree():
         return False
     failure = certificate.failure
-    if certificate.is_lorentzian:
-        return (
-            failure is None
-            and certificate.checks == (_STAGES if (certificate.degree or 0) >= 2 else _STAGES[:3])
-            and len({sum(e) for e in poly.terms}) <= 1
-            and all(c >= 0 for c in poly.terms.values())
-        )
-    passed = _STAGES_BEFORE.get(type(failure))
-    if (certificate.verdict != NOT_LORENTZIAN or passed is None
-            or certificate.checks != _STAGES[:passed]):
+    if failure is None:
+        return len({sum(e) for e in poly.terms}) <= 1 and all(c >= 0 for c in poly.terms.values())
+    if type(failure) not in _STAGES_BEFORE:
         return False
     if isinstance(failure, NotHomogeneous):
         if not _int_tuple(failure.degrees) or len(failure.degrees) != 2:

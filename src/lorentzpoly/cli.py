@@ -207,10 +207,16 @@ def _sweep_jobs(jobs: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from concurrent.futures import BrokenExecutor
+
     fields = dataclasses.fields(SweepBounds)
     bounds = SweepBounds(**{f.name: getattr(args, f.name) for f in fields})
     spec = SweepSpec(args.family, args.mode, bounds)
-    report = run_sweep(spec, jobs=_sweep_jobs(args.jobs), only=args.only)
+    try:
+        report = run_sweep(spec, jobs=_sweep_jobs(args.jobs), only=args.only)
+    except BrokenExecutor:
+        print("error: a sweep worker stopped before the sweep ended", file=sys.stderr)
+        return MATH_FAILURE
     if args.out == "json":
         print(report.to_json())
     else:

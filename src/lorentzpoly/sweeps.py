@@ -431,16 +431,14 @@ def _guarded_check(spec: SweepSpec, instance_id: str, payload):
         return _failure(spec, instance_id, "error", f"{type(exc).__name__}: {exc}")
 
 
-def _worker(args):
-    return _guarded_check(*args)
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1, only: Optional[str] = None) -> SweepReport:
     """Run a sweep; ``only`` restricts to instance ids containing the string.
 
     The memo tables in ``_CACHES`` are emptied when the sweep starts and
     when it returns, so each sweep starts cold and nothing it built stays
-    resident.
+    resident.  With more than one worker, a worker that dies (killed, or
+    crashed in C code) ends the sweep with
+    ``concurrent.futures.process.BrokenProcessPool``.
     """
     try:
         _clear_caches()
@@ -471,11 +469,14 @@ def _run_sweep(spec: SweepSpec, jobs: int, only: Optional[str]) -> SweepReport:
             if failure is not None:
                 failures.append(failure)
     else:
-        import multiprocessing
+        # unlike a multiprocessing.Pool, the executor raises BrokenProcessPool
+        # once a worker dies, rather than wait for its results forever
+        from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(spec, instance_id, payload) for instance_id, payload in instances]
-        with multiprocessing.Pool(workers) as pool:
-            for failure in pool.imap_unordered(_worker, tasks, chunksize=8):
+        ids, payloads = zip(*instances)
+        with ProcessPoolExecutor(workers) as pool:
+            for failure in pool.map(_guarded_check, [spec] * len(ids), ids, payloads,
+                                    chunksize=8):
                 if failure is not None:
                     failures.append(failure)
     failures.sort(key=lambda f: (f["instance"], f.get("target", "")))

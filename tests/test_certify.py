@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import gc
 import itertools
+import json
+import marshal
 import math
 import pathlib
 import random
@@ -23,7 +25,9 @@ from lorentzpoly.certify import (
     SymmetricMatrix,
     _inertia_int,
     _multiset_indices,
+    _packed,
     _scaled_coefficients,
+    _support_key,
     bivariate_ulc,
     inertia,
     is_m_convex,
@@ -308,35 +312,16 @@ class TestCertifier:
         assert verify_certificate(poly("vars: 2\nx1 + x1 x2"), cert)
         assert not verify_certificate(poly("vars: 3\nx1 + x2 x3"), cert)
 
-    @pytest.mark.parametrize("text, forged", [
-        # once accepted: no stage run, yet Lorentzian
-        ("x1^2 + x1 x2 + x2^2", LorentzCertificate("Lorentzian", 2, 2, ())),
-        ("x1 x2", LorentzCertificate("Lorentzian", 2, 2, (
-            "homogeneous", "nonnegative_coefficients", "m_convex_support"))),
-        # below degree 2 no Hessian is checked
-        ("x1 + x2", LorentzCertificate("Lorentzian", 2, 1, (
-            "homogeneous", "nonnegative_coefficients", "m_convex_support", "hessian_spectra"))),
-        # once accepted: a Hessian failure that claims its own stage passed
-        (FLAT_CUBIC, LorentzCertificate("NotLorentzian", 2, 3, (
-            "homogeneous", "nonnegative_coefficients", "m_convex_support", "hessian_spectra"),
-            HessianFailure((1,), InertiaSignature(2, 0, 0)))),
-        ("x1^2 + x2^2", LorentzCertificate("NotLorentzian", 2, 2, ("homogeneous",),
-                                           SupportNotMConvex((2, 0), (0, 2), 1))),
-        ("x1 + x1 x2", LorentzCertificate("NotLorentzian", 2, None, ("homogeneous",),
-                                          NotHomogeneous((1, 2)))),
-        # once accepted: a valid failure under a verdict of neither kind
-        ("x1^2 - x2^2", LorentzCertificate("Maybe", 2, 2, ("homogeneous",),
-                                           NegativeCoefficient((0, 2)))),
-        (FLAT_CUBIC, LorentzCertificate("lorentzian", 2, 3, (
-            "homogeneous", "nonnegative_coefficients", "m_convex_support"),
-            HessianFailure((1,), InertiaSignature(2, 0, 0)))),
-    ])
-    def test_certificate_that_contradicts_itself_is_refused(self, text, forged):
-        target = poly("vars: 2\n" + text)
-        honest = lorentzian_certify(target)
-        assert verify_certificate(target, honest)
-        assert honest.checks != forged.checks or honest.verdict != forged.verdict
-        assert verify_certificate(target, forged) is False
+    def test_certificate_is_its_arity_degree_and_failure(self):
+        # the verdict and the checks are read off the failure and the degree,
+        # so no certificate can contradict itself
+        cert = lorentzian_certify(poly("vars: 2\n" + FLAT_CUBIC))
+        fields = tuple(f.name for f in dataclasses.fields(LorentzCertificate))
+        assert fields == ("arity", "degree", "failure")
+        with pytest.raises(TypeError):
+            dataclasses.replace(cert, verdict="Lorentzian")
+        with pytest.raises(TypeError):
+            dataclasses.replace(cert, checks=cert.checks[:1])
 
     def test_derivative_closure(self):
         seeds = [normalize(schur(lam, 3)) for lam in partitions_within(5, 3)]
@@ -842,12 +827,77 @@ def test_certificate_memo_keys_on_arity_and_every_coefficient():
     assert [c.arity for c in cache.values()] == [2, 2, 3, 2, 3, 2]
 
 
-def test_certificate_memo_skips_degree_256():
+def test_certificate_memo_keeps_degree_256():
     cache = {}
     for degree in (255, 256):
         h = Polynomial.monomial(2, (degree, 0))
         assert lorentzian_certify(h, cache=cache) == lorentzian_certify(h)
-    assert [c.degree for c in cache.values()] == [255]
+    assert [c.degree for c in cache.values()] == [255, 256]
+
+
+def test_keys_tell_bytes_from_lists():
+    # values from 256 up are kept as a list, which marshal tags apart from
+    # bytes, so a list-form key never equals a byte-form key
+    assert _packed([0, 1, 255]) == bytes([0, 1, 255])
+    assert _packed([0, 256]) == [0, 256]
+    assert marshal.dumps((2, [0, 1]), 2) != marshal.dumps((2, bytes([0, 1])), 2)
+    # one varying column, (0, 256) against (0, 1), on two points
+    wide, narrow = _support_key(2, [(0, 256)], [0], [0]), _support_key(2, [(0, 1)], [0], [0])
+    assert wide == marshal.dumps((2, [0, 256]), 2)
+    assert narrow == marshal.dumps((2, bytes([0, 1])), 2)
+    cache = {}
+    for points in ([(3, 0), (3, 256)], [(3, 0), (3, 1)], [(0, 256), (256, 0)]):
+        assert m_convex_failure(points, cache) == m_convex_failure(points)
+    assert list(cache) == [wide, narrow, marshal.dumps((2, [0, 256, 256, 0]), 2)]
+    # a degree-300 target, its exponents kept as a list, through the memo
+    h = poly("vars: 3\nx1^300 + 2 x1^299 x2 + x1^298 x2^2 + 5 x1^299 x3")
+    cache = {}
+    cert = lorentzian_certify(h, cache=cache)
+    assert cert == lorentzian_certify(h) and cert.degree == 300
+    assert lorentzian_certify(h, cache=cache) is cert and len(cache) == 1
+
+
+@pytest.mark.parametrize("target, expected", [
+    ("vars: 2\nx1 + x1 x2", {
+        "verdict": "NotLorentzian", "arity": 2, "degree": None, "checks": [],
+        "failure": {"kind": "not_homogeneous", "degrees": [1, 2]}}),
+    ("vars: 2\nx1^2 - x2^2", {
+        "verdict": "NotLorentzian", "arity": 2, "degree": 2, "checks": ["homogeneous"],
+        "failure": {"kind": "negative_coefficient", "exponent": [0, 2]}}),
+    ("vars: 2\nx1^2 + x2^2", {
+        "verdict": "NotLorentzian", "arity": 2, "degree": 2,
+        "checks": ["homogeneous", "nonnegative_coefficients"],
+        "failure": {"kind": "support_not_m_convex", "alpha": [2, 0], "beta": [0, 2],
+                    "index": 1}}),
+    ("vars: 2\n" + FLAT_CUBIC, {
+        "verdict": "NotLorentzian", "arity": 2, "degree": 3,
+        "checks": ["homogeneous", "nonnegative_coefficients", "m_convex_support"],
+        "failure": {"kind": "hessian_failure", "multiset": [1],
+                    "inertia": {"positive": 2, "negative": 0, "zero": 0}}}),
+    (Polynomial.zero(2), {
+        "verdict": "Lorentzian", "arity": 2, "degree": None,
+        "checks": ["homogeneous", "nonnegative_coefficients", "m_convex_support"],
+        "failure": None}),
+    (Polynomial(2, {(0, 0): Fraction(3)}), {
+        "verdict": "Lorentzian", "arity": 2, "degree": 0,
+        "checks": ["homogeneous", "nonnegative_coefficients", "m_convex_support"],
+        "failure": None}),
+    ("vars: 2\nx1 + x2", {
+        "verdict": "Lorentzian", "arity": 2, "degree": 1,
+        "checks": ["homogeneous", "nonnegative_coefficients", "m_convex_support"],
+        "failure": None}),
+    ("vars: 2\nx1^2 + 2 x1 x2 + x2^2", {
+        "verdict": "Lorentzian", "arity": 2, "degree": 2,
+        "checks": ["homogeneous", "nonnegative_coefficients", "m_convex_support",
+                   "hessian_spectra"],
+        "failure": None}),
+])
+def test_certificate_dict_is_pinned(target, expected):
+    # keys, their order and their values, as the JSON reports print them
+    target = poly(target) if isinstance(target, str) else target
+    cert = lorentzian_certify(target)
+    assert json.dumps(cert.to_dict()) == json.dumps(expected)
+    assert verify_certificate(target, cert)
 
 
 def _checked_table(inertias):

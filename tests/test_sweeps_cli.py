@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import pathlib
 import shutil
 import subprocess
@@ -739,6 +740,36 @@ class TestCrashingInstance:
         assert "boxes=99" in capsys.readouterr().err
 
 
+# A worker that exits at w=2143, as an OOM kill or a segfault would end it.
+# The forked workers inherit the patched check.  Exit code 99 marks a worker
+# left running once the sweep has returned.
+DEAD_WORKER = """
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+from lorentzpoly import cli, sweeps
+checked = sweeps._check_instance
+def dying(spec, instance_id, payload):
+    if instance_id == "w=2143":
+        os._exit(3)
+    return checked(spec, instance_id, payload)
+sweeps._check_instance = dying
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(["sweep", "--family", "schubert", "--n", "4", "--jobs", "2"])
+sys.exit(99 if multiprocessing.active_children() else code)
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the dying check reaches the workers only by fork")
+def test_dead_worker_ends_the_sweep():
+    # a worker's death is no instance's failure: the sweep ends with exit 1,
+    # one error line and no report, where a pool once waited for it forever
+    result = subprocess.run([sys.executable, "-c", DEAD_WORKER], capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: a sweep worker stopped before the sweep ended\n")
+
+
 class TestJobs:
     """``--jobs`` takes 0 (every core) up to the core count; a sweep starts
     no more workers than it has instances.  No test here starts a pool."""
@@ -747,7 +778,7 @@ class TestJobs:
     def started(self, monkeypatch):
         """Worker counts of the pools the sweep asks for; each pool runs its
         tasks in this process."""
-        import multiprocessing
+        import concurrent.futures
 
         counts = []
 
@@ -761,21 +792,21 @@ class TestJobs:
             def __exit__(self, *exc):
                 return False
 
-            def imap_unordered(self, function, tasks, chunksize=1):
-                return map(function, tasks)
+            def map(self, function, *iterables, chunksize=1):
+                return map(function, *iterables)
 
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         return counts
 
     @pytest.fixture
     def no_pool(self, monkeypatch):
-        import multiprocessing
+        import concurrent.futures
 
         def refuse(*args, **kwargs):
             raise AssertionError("no pool may start")
 
-        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
     @pytest.mark.parametrize("jobs", ["-3", "-1", "5", "1000000"])
