@@ -136,15 +136,18 @@ pairs and every Hessian are read off its terms.  Two targets with equal
 (arity, flag, map) triples, such as a skew Schur polynomial and its
 translate or half-turn, therefore get equal certificates, witnesses
 included, and a sweep may certify such a pair once.  The key of a map is
-exact and ignores the order of its terms: its exponents in sorted order,
-one byte per coordinate, or a list of ints once a coordinate reaches 256,
-then their integers.  Supports are keyed by the same rule (``_packed``).
+a plain tuple, exact and blind to the order of its terms: the arity, the
+flag, the coordinates of its exponents in sorted order, as bytes, or as a
+tuple of ints once a coordinate reaches 256 (``_packed``), then the tuple of
+their integers.  Supports are keyed by the same rule.
 
-A sweep also keeps the inertia of every Hessian it eliminates, under the
-bytes of its lower triangle, row by row.  The length n(n + 1)/2 fixes n and
-the matrix is symmetric, so equal keys are equal matrices, which have equal
-inertia.  Every entry is nonnegative once the signs have passed; a matrix
-with an entry of 256 or more has no such key, and is eliminated and not kept.
+A sweep also keeps a set of the Hessians that passed, each as the bytes of
+its lower triangle, row by row, and skips a matrix found in it.  The length
+n(n + 1)/2 fixes n and the matrix is symmetric, so equal bytes are equal
+matrices, which have equal inertia.  A failing Hessian ends its target, so
+only passing ones are worth keeping.  Every entry is nonnegative once the
+signs have passed; a matrix with an entry of 256 or more has no such bytes,
+and is eliminated and not kept.
 
 Log-concavity along a root direction e_i - e_j fails at mu when c(mu)^2 <
 c(mu + e_i - e_j) c(mu - e_i + e_j).  A square is never negative, so the
@@ -152,12 +155,12 @@ product on the right is positive and both neighbours of mu are terms.
 The scan therefore needs no walk along each line: for every term a and
 i < j it looks up whether b = a - 2 e_i + 2 e_j is a term, on packed keys
 where both moves are one addition, and only then reads the centre
-a - e_i + e_j.  A line's table, which orders the violations as the lines
-are met, is built only for a direction that has one.
+a - e_i + e_j.  The violations of each direction are sorted, so the list,
+like every other answer of this module, depends only on the polynomial and
+not on the order of its terms.
 """
 
 import itertools
-import marshal
 import math
 import operator
 from dataclasses import dataclass
@@ -286,12 +289,12 @@ def _exchange_scan(pts):
     position left, then the smallest i holding it, is the one a scan of the
     pairs in order returns.
 
-    Each point x is packed into one integer: coordinate k, shifted into
-    1..D, fills a field of w bits with D + 1 < 2^w, so a neighbour x +- e_j
-    is the key +- 2^(jw) and no move borrows or carries.  The set of b with
-    b + e_i - e_j in S is built on its first read, by one intersection of
-    the keys of S with those of the points c with c_i above its least,
-    moved by e_j - e_i.
+    Each point x is packed into one integer by ``_field_steps``: coordinate
+    k, shifted into 1..D, fills a field of w bits with D + 1 < 2^w, so a
+    neighbour x +- e_j is the key +- the step of field j and no move borrows
+    or carries.  The set of b with b + e_i - e_j in S is built on its first
+    read, by one intersection of the keys of S with those of the points c
+    with c_i above its least, moved by e_j - e_i.
     """
     size = len(pts)
     if size < 2:
@@ -300,7 +303,7 @@ def _exchange_scan(pts):
     columns = list(zip(*pts))
     offsets = [min(col) - 1 for col in columns]
     width = max(max(col) - low for col, low in zip(columns, offsets)).bit_length() + 1
-    steps = [1 << shift for shift in range(0, n * width, width)]
+    steps = _field_steps(n, width)
     keys = [sum(map(operator.mul, map(operator.sub, x, offsets), steps)) for x in pts]
     position = {key: pos for pos, key in enumerate(keys)}
     lower = []  # lower[j][v]: the points with coordinate j below v
@@ -370,22 +373,21 @@ def _rank_test_runs(varying: int, size: int) -> bool:
 
 
 def _packed(values: list):
-    """``values`` as bytes, one per value, or the list itself once a value
-    is 256 or more; ``marshal`` writes the two under different type codes,
-    so a key holding one never equals a key holding the other."""
+    """``values`` as bytes, one per value, or as a tuple once a value is 256
+    or more; a bytes object never equals a tuple."""
     try:
         return bytes(values)
     except ValueError:
-        return values
+        return tuple(values)
 
 
-def _support_key(size: int, columns, lows, moving) -> bytes:
+def _support_key(size: int, columns, lows, moving) -> tuple:
     """An exact key of a sorted support of ``size`` points with ``columns``:
     the size, then each varying column k less its least value ``lows[k]``,
     in sorted point order, by ``_packed``.  The size and the number of
     values give the number of varying columns.
     """
-    return marshal.dumps((size, _packed([v - lows[k] for k in moving for v in columns[k]])), 2)
+    return (size, _packed([v - lows[k] for k in moving for v in columns[k]]))
 
 
 def _reduced_failure(pts, columns, moving):
@@ -712,17 +714,13 @@ def _unpacked(key: int, width: int, n: int, offset: int = 0) -> tuple:
     return tuple((key >> width * (n - 1 - k) & mask) - offset for k in range(n))
 
 
-def _certificate_key(arity: int, normalize: bool, coeffs: dict) -> bytes:
+def _certificate_key(arity: int, normalize: bool, coeffs: dict) -> tuple:
     """An exact key of (arity, ``normalize``, ``coeffs``), blind to term
-    order: the coordinates of the exponents in sorted order, by ``_packed``,
-    and the ints.
-
-    Version 2 of ``marshal`` writes no back-references, so equal values
-    always give equal bytes.
-    """
+    order: the arity, the flag, the coordinates of the exponents in sorted
+    order, by ``_packed``, and the tuple of their ints."""
     exponents = sorted(coeffs)
     packed = _packed(list(itertools.chain.from_iterable(exponents)))
-    return marshal.dumps((arity, normalize, packed, [coeffs[e] for e in exponents]), 2)
+    return (arity, normalize, packed, tuple(map(coeffs.__getitem__, exponents)))
 
 
 def lorentzian_certify(
@@ -731,7 +729,7 @@ def lorentzian_certify(
     normalize: bool = False,
     cache: Optional[dict] = None,
     supports: Optional[dict] = None,
-    inertias: Optional[dict] = None,
+    passed: Optional[set] = None,
 ) -> LorentzCertificate:
     """Decide the Lorentzian property with a re-checkable witness on failure.
 
@@ -743,8 +741,9 @@ def lorentzian_certify(
     A ``cache`` dict keeps each certificate under its arity, the flag and
     that integer map, of any degree, and a target with an equal key is
     answered from it.  A ``supports`` dict is handed to ``m_convex_failure``
-    as its ``cache``, and an ``inertias`` dict keeps the inertia of each
-    Hessian under its bytes.
+    as its ``cache``, and a ``passed`` set keeps the bytes of each Hessian
+    that has at most one positive eigenvalue; a Hessian found in it is not
+    eliminated again.
     """
     degrees = sorted({sum(e) for e in poly.terms})
     if len(degrees) > 1:
@@ -752,21 +751,21 @@ def lorentzian_certify(
     degree = degrees[0] if degrees else None
     coeffs = _scaled_coefficients(poly)
     if cache is None:
-        return _certify_terms(poly.arity, degree, coeffs, normalize, supports, inertias)
+        return _certify_terms(poly.arity, degree, coeffs, normalize, supports, passed)
     key = _certificate_key(poly.arity, normalize, coeffs)
     certificate = cache.get(key)
     if certificate is None:
         certificate = cache[key] = _certify_terms(poly.arity, degree, coeffs, normalize,
-                                                  supports, inertias)
+                                                  supports, passed)
     return certificate
 
 
 def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
-                   supports, inertias) -> LorentzCertificate:
+                   supports, passed) -> LorentzCertificate:
     """The certificate of the homogeneous polynomial of ``arity`` and ``degree``
     (None when zero) with integer terms ``coeffs``, or of its normalization
     with ``normalize`` set; ``supports`` is the ``m_convex_failure`` cache
-    and ``inertias`` the table of Hessian inertias."""
+    and ``passed`` the set of the Hessians that passed."""
     negative = [exponent for exponent, coeff in coeffs.items() if coeff < 0]
     if negative:
         return LorentzCertificate(arity, degree, NegativeCoefficient(min(negative)))
@@ -811,24 +810,24 @@ def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
                     matrix[j][i] = value
         for alpha in sorted(hessians, reverse=True):  # sorted index tuples, ascending
             matrix = hessians[alpha]
-            shape = signature = None
-            if inertias is not None:
+            shape = None
+            if passed is not None:
                 try:  # the exact matrix, read before _inertia_int overwrites its rows
                     shape = bytes(itertools.chain.from_iterable(map(operator.getitem, matrix,
                                                                     lower)))
-                    signature = inertias.get(shape)
                 except ValueError:  # an entry of 256 or more: eliminated, not kept
                     pass
-            if signature is None:
-                signature = _inertia_int(matrix)
-                if shape is not None:  # one shared object per distinct signature
-                    inertias[shape] = inertias.setdefault(signature, signature)
+                if shape in passed:  # the set holds bytes only, never None
+                    continue
+            signature = _inertia_int(matrix)
             if signature.positive > 1:
                 return LorentzCertificate(
                     arity,
                     degree,
                     HessianFailure(_multiset_indices(_unpacked(alpha, width, n)), signature),
                 )
+            if shape is not None:
+                passed.add(shape)
     return LorentzCertificate(arity, degree)
 
 
@@ -844,7 +843,7 @@ def _pairwise_scan_shape(poly: Polynomial):
 
 
 def _int_tuple(value) -> bool:
-    return isinstance(value, tuple) and all(isinstance(v, int) for v in value)
+    return isinstance(value, tuple) and all(type(v) is int for v in value)
 
 
 def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> bool:
@@ -860,7 +859,8 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     A witness that does not fit ``poly`` (an exchange index outside
     1..arity, a multiset not of d - 2 variables of ``poly``) is refused, and
     so is one whose fields are not of their types: each exponent, degree
-    pair and multiset a tuple of ints, and the exchange index an int.
+    pair and multiset a tuple of ints, the exchange index an int and the
+    inertia an ``InertiaSignature`` of ints, where a bool is no int.
     """
     if certificate.arity != poly.arity or certificate.degree != poly.homogeneous_degree():
         return False
@@ -880,15 +880,16 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     if isinstance(failure, SupportNotMConvex):
         support = poly.support()
         alpha, beta, index = failure.alpha, failure.beta, failure.index
-        if not (_int_tuple(alpha) and _int_tuple(beta) and isinstance(index, int)):
+        if not (_int_tuple(alpha) and _int_tuple(beta) and type(index) is int):
             return False
         i = index - 1
         if (not 0 <= i < poly.arity or alpha not in support or beta not in support
                 or alpha[i] <= beta[i]):
             return False
         return not _exchange_ok(support, alpha, beta, i)
-    multiset = failure.multiset  # a HessianFailure
+    multiset, claimed = failure.multiset, failure.inertia  # a HessianFailure
     if (certificate.degree is None or not _int_tuple(multiset)
+            or type(claimed) is not InertiaSignature or not _int_tuple(claimed)
             or len(multiset) != certificate.degree - 2
             or not all(1 <= index <= poly.arity for index in multiset)):
         return False
@@ -896,7 +897,7 @@ def verify_certificate(poly: Polynomial, certificate: LorentzCertificate) -> boo
     for index in multiset:
         derivative = derivative.partial_derivative(index)
     signature = inertia(quadratic_form_matrix(derivative))
-    return signature == failure.inertia and signature.positive >= 2
+    return signature == claimed and signature.positive >= 2
 
 
 # -- bivariate criterion and coefficient log-concavity --------------------
@@ -931,12 +932,6 @@ def bivariate_ulc(poly: Polynomial) -> bool:
     return True
 
 
-def _root_line(mu, i: int, j: int) -> tuple:
-    """The line {mu + t (e_i - e_j)} through mu: mu_i + mu_j and the other
-    coordinates (0-based i < j)."""
-    return (mu[i] + mu[j], mu[:i], mu[i + 1 : j], mu[j + 1 :])
-
-
 def root_direction_violations(poly: Polynomial):
     """All (mu, i, j) where the root-direction log-concavity check fails.
 
@@ -946,8 +941,8 @@ def root_direction_violations(poly: Polynomial):
     inequality).  Each field of a packed key holds its exponent plus 2 and
     has room for 2 more, so a - 2 e_i + 2 e_j never borrows from or carries
     into another field, and it is a key exactly when it is a term.  The
-    violations are listed by (i, j), then by line (the points
-    mu + t (e_i - e_j)) in the order of the first term on each, then by mu_i.
+    violations are listed by (i, j), then by mu in lexicographic order, so
+    equal polynomials give equal lists whatever the order of their terms.
     """
     coeffs = _scaled_coefficients(poly)
     n = poly.arity
@@ -967,10 +962,6 @@ def root_direction_violations(poly: Polynomial):
                 centre = table.get(b - move, 0)
                 if centre * centre < table[b - jump] * table[b]:
                     found.append(_unpacked(b - move, width, n, 2))
-            if found:
-                lines = {}  # line -> rank of its first term
-                for exponent in coeffs:
-                    lines.setdefault(_root_line(exponent, i, j), len(lines))
-                found.sort(key=lambda mu: (lines[_root_line(mu, i, j)], mu[i]))
-                violations.extend((mu, i + 1, j + 1) for mu in found)
+            if found:  # most directions have none, and an empty extend costs
+                violations.extend((mu, i + 1, j + 1) for mu in sorted(found))
     return violations

@@ -100,10 +100,12 @@ class Polynomial:
                 raise ValueError(
                     f"exponent {exponent} has length {len(exponent)}, expected {arity}"
                 )
-            if not all(isinstance(e, int) and e >= 0 for e in exponent):
-                if all(isinstance(e, int) for e in exponent):
+            if not all(type(e) is int and e >= 0 for e in exponent):
+                if not all(isinstance(e, int) for e in exponent):
+                    raise ValueError(f"non-integer exponent {exponent}")
+                exponent = tuple(map(int, exponent))  # a bool as its int, as witnesses need
+                if min(exponent) < 0:
                     raise ValueError(f"negative exponent in {exponent}")
-                raise ValueError(f"non-integer exponent {exponent}")
             if type(coeff) is not Fraction:
                 coeff = _rational(coeff)
             if not coeff:

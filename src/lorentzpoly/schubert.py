@@ -24,10 +24,8 @@ and the key operator a shift before d_i; no step builds a Polynomial.
 A memo passed as ``cache`` maps each tuple on the climbed path to its int
 map, and each generator makes one Fraction per term of its result, so no
 int reaches a Polynomial.  A sweep passes a ``RootPath`` memo and walks
-S_n in ``descent_tree`` order, so it holds one path of the tree at a time.  The maps keep the insertion order of the
-Polynomial operators they replace: root-direction violations are listed
-by line in the order of each line's first term, so the term order fixes
-which one an inequality sweep reports first.
+S_n in ``descent_tree`` order, so it holds one path of the tree at a time.
+No answer of the certifier depends on the order of the terms of a map.
 
 Degree polynomials sum, over saturated chains of the Bruhat order, the
 product of the linear forms x_i + ... + x_{j-1} attached to each cover by

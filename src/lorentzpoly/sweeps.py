@@ -246,17 +246,17 @@ def _signed_components(payload, raw):
 
 
 # Memo tables of the divided-difference recursions, the branching rules,
-# the certificates of families with repeated targets, the M-convexity
+# the certificates of families with repeated targets and the M-convexity
 # answers of every family (keyed on the support with its constant
-# coordinates dropped, translated to the origin) and the Hessian inertias
-# of every certify-mode target (keyed on the exact matrix), emptied when one
-# ``run_sweep`` starts and when it returns.  The two permutation tables
-# hold one root path of the descent tree, at most n(n-1)/2 + 1 term maps;
-# the others grow with the sweep.  Inserts are idempotent, so concurrent
-# workers each filling their own copy agree.
+# coordinates dropped, translated to the origin), and the set of the
+# Hessians that passed in every certify-mode target (each as its exact
+# matrix), emptied when one ``run_sweep`` starts and when it returns.  The
+# two permutation tables hold one root path of the descent tree, at most
+# n(n-1)/2 + 1 term maps; the others grow with the sweep.  Inserts are
+# idempotent, so concurrent workers each filling their own copy agree.
 _CACHES = {
     "schubert": RootPath(), "grothendieck": RootPath(), "schur": {}, "schur_p": {},
-    "certify": {}, "supports": {}, "inertias": {},
+    "certify": {}, "supports": {}, "passed": set(),
 }
 
 
@@ -279,7 +279,7 @@ class Family:
     aside, so every family, in certify and ``support_only`` mode alike,
     hands ``_CACHES["supports"]`` to ``m_convex_failure``.  Hessians repeat
     across the targets of a sweep, rarely within one, so every certify-mode
-    target shares ``_CACHES["inertias"]``.
+    target shares the set ``_CACHES["passed"]`` of the Hessians that passed.
     The permutation families yield S_n in descent-tree preorder and keep
     their term maps in ``RootPath`` tables, which hold only the path from
     w_0 to the current instance; a serial sweep of all of S_n applies one
@@ -398,7 +398,7 @@ def _check_instance(spec: SweepSpec, instance_id: str, payload):
         for label, target in family.targets(payload, raw):
             certificate = lorentzian_certify(target, normalize=family.normalize, cache=cache,
                                              supports=_CACHES["supports"],
-                                             inertias=_CACHES["inertias"])
+                                             passed=_CACHES["passed"])
             if not certificate.is_lorentzian:
                 return _failure(spec, instance_id, label,
                                 f"{label}: {certificate.failure.kind}", certificate.to_dict())

@@ -587,7 +587,8 @@ def discrete_root_log_concavity(poly: Polynomial, mu, i: int, j: int) -> bool:
 def root_direction_violations_by_lookup(poly: Polynomial):
     """``root_direction_violations`` point by point: every integer point of
     each line, padded by one step on both ends, checked by
-    ``discrete_root_log_concavity`` with its three coefficient lookups."""
+    ``discrete_root_log_concavity`` with its three coefficient lookups, and
+    listed by (i, j), then by mu."""
     violations = []
     n = poly.arity
     for i in range(1, n):
@@ -611,7 +612,7 @@ def root_direction_violations_by_lookup(poly: Polynomial):
                         continue
                     if not discrete_root_log_concavity(poly, mu, i, j):
                         violations.append((tuple(mu), i, j))
-    return violations
+    return sorted(violations, key=lambda v: (v[1], v[2], v[0]))
 
 
 # -- log-concavity spot check ----------------------------------------------

@@ -3,7 +3,6 @@ import dataclasses
 import gc
 import itertools
 import json
-import marshal
 import math
 import pathlib
 import random
@@ -264,6 +263,12 @@ class TestCertifier:
         ("x1 + x1 x2", NotHomogeneous([1, 2])),
         ("x1^2 - x2^2", NegativeCoefficient(2)),
         ("x1^2 - x2^2", NegativeCoefficient([0, 2])),
+        # a plain tuple or a float count for the inertia verified True (the
+        # tuple's to_dict() raised AttributeError), and so did a bool index
+        (FLAT_CUBIC, HessianFailure((1,), (2, 0, 0))),
+        (FLAT_CUBIC, HessianFailure((1,), InertiaSignature(2.0, 0, 0))),
+        (FLAT_CUBIC, HessianFailure((True,), InertiaSignature(2, 0, 0))),
+        ("x1^2 + x2^2", SupportNotMConvex((2, 0), (0, 2), True)),
     ])
     def test_badly_typed_witness_is_refused(self, text, failure):
         target = poly("vars: 2\n" + text)
@@ -835,21 +840,21 @@ def test_certificate_memo_keeps_degree_256():
     assert [c.degree for c in cache.values()] == [255, 256]
 
 
-def test_keys_tell_bytes_from_lists():
-    # values from 256 up are kept as a list, which marshal tags apart from
-    # bytes, so a list-form key never equals a byte-form key
+def test_keys_tell_bytes_from_tuples():
+    # values from 256 up are kept as a tuple, which never equals bytes, so
+    # a tuple-form key never equals a byte-form key
     assert _packed([0, 1, 255]) == bytes([0, 1, 255])
-    assert _packed([0, 256]) == [0, 256]
-    assert marshal.dumps((2, [0, 1]), 2) != marshal.dumps((2, bytes([0, 1])), 2)
+    assert _packed([0, 256]) == (0, 256)
+    assert _packed([0, 1]) != (0, 1)
     # one varying column, (0, 256) against (0, 1), on two points
     wide, narrow = _support_key(2, [(0, 256)], [0], [0]), _support_key(2, [(0, 1)], [0], [0])
-    assert wide == marshal.dumps((2, [0, 256]), 2)
-    assert narrow == marshal.dumps((2, bytes([0, 1])), 2)
+    assert wide == (2, (0, 256))
+    assert narrow == (2, bytes([0, 1]))
     cache = {}
     for points in ([(3, 0), (3, 256)], [(3, 0), (3, 1)], [(0, 256), (256, 0)]):
         assert m_convex_failure(points, cache) == m_convex_failure(points)
-    assert list(cache) == [wide, narrow, marshal.dumps((2, [0, 256, 256, 0]), 2)]
-    # a degree-300 target, its exponents kept as a list, through the memo
+    assert list(cache) == [wide, narrow, (2, (0, 256, 256, 0))]
+    # a degree-300 target, its exponents kept as a tuple, through the memo
     h = poly("vars: 3\nx1^300 + 2 x1^299 x2 + x1^298 x2^2 + 5 x1^299 x3")
     cache = {}
     cert = lorentzian_certify(h, cache=cache)
@@ -900,19 +905,16 @@ def test_certificate_dict_is_pinned(target, expected):
     assert verify_certificate(target, cert)
 
 
-def _checked_table(inertias):
-    """Each bytes key of an inertia table against a fresh elimination of
-    the matrix it spells, and each signature kept as one shared object."""
-    for key, signature in inertias.items():
-        if isinstance(key, bytes):
-            n = math.isqrt(2 * len(key))  # the lower triangle, row by row
-            assert n * (n + 1) == 2 * len(key)
-            rows = [list(key[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]) for i in range(n)]
-            matrix = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-            assert signature == _inertia_int(matrix)
-            assert inertias[signature] is signature
-        else:
-            assert key is signature
+def _checked_table(passed):
+    """Each key of a set of passed Hessians is bytes and spells a matrix
+    that a fresh elimination finds to have at most one positive eigenvalue."""
+    for key in passed:
+        assert isinstance(key, bytes)
+        n = math.isqrt(2 * len(key))  # the lower triangle, row by row
+        assert n * (n + 1) == 2 * len(key)
+        rows = [list(key[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]) for i in range(n)]
+        matrix = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        assert _inertia_int(matrix).positive <= 1
 
 
 @st.composite
@@ -939,28 +941,26 @@ def inertia_streams(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(inertia_streams())
 def test_inertia_table_keeps_every_certificate(stream):
-    # the certificates, witnesses and inertias included, from one table
-    # that every target of the stream fills and reads
-    inertias = {}
+    # the certificates, witnesses and inertias included, from one set of
+    # passed Hessians that every target of the stream fills and reads
+    passed = set()
     for h, flag in stream:
-        assert lorentzian_certify(h, normalize=flag, inertias=inertias) == \
+        assert lorentzian_certify(h, normalize=flag, passed=passed) == \
             lorentzian_certify(h, normalize=flag)
-    _checked_table(inertias)
+    _checked_table(passed)
 
 
 def test_inertia_table_holds_no_matrix_with_an_entry_of_256():
     # x1^2 + c x1 x2 + x2^2 has the one Hessian [[2, c], [c, 2]] raw and
     # [[1, c], [c, 1]] normalized
-    inertias = {}
+    passed = set()
     for text, flag in [("3 x1 x2", False), ("300 x1 x2", False), ("300 x1 x2", True),
                        ("255 x1 x2", True)]:
         h = poly("vars: 2\nx1^2 + " + text + " + x2^2")
-        assert lorentzian_certify(h, normalize=flag, inertias=inertias) == \
+        assert lorentzian_certify(h, normalize=flag, passed=passed) == \
             lorentzian_certify(h, normalize=flag)
-    signature = InertiaSignature(1, 1, 0)
-    assert inertias == {bytes([2, 3, 2]): signature, signature: signature,
-                        bytes([1, 255, 1]): signature}
-    _checked_table(inertias)
+    assert passed == {bytes([2, 3, 2]), bytes([1, 255, 1])}
+    _checked_table(passed)
 
 
 @st.composite
@@ -1161,6 +1161,48 @@ def test_packed_assembly_witness_at_field_edges(degree, normalized):
     raised = {(degree - 2, 1, 1), (1, degree - 2, 1)}
     h = Polynomial(3, {e: c * (30 if e in raised else 1) for e, c in h.terms.items()})
     assert _agrees_with_derivative_oracle(h, normalized) is not None
+
+
+def _answers(h):
+    """Every answer the certifier module gives about ``h``."""
+    raw, normalized = lorentzian_certify(h), lorentzian_certify(h, normalize=True)
+    return (root_direction_violations(h), raw.to_dict(), normalized.to_dict(),
+            m_convex_failure(h.terms), verify_certificate(h, raw))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(polynomials_on_root_lines(), polynomials_for_scan(), block_symmetric_forms(),
+                 sparse_block_symmetric_forms()),
+       st.data())
+def test_answers_do_not_depend_on_term_order(h, data):
+    # equal polynomials, their terms inserted in another order, get equal
+    # answers, witnesses and violation lists included
+    items = data.draw(st.permutations(list(h.terms.items())))
+    shuffled = Polynomial(h.arity, dict(items))
+    assert shuffled == h
+    assert _answers(shuffled) == _answers(h)
+    assert verify_certificate(h, lorentzian_certify(shuffled))
+    assert verify_certificate(shuffled, lorentzian_certify(h))
+
+
+def test_violations_on_two_lines_are_listed_by_mu():
+    # x1^2 + x1 x2 + 3 x2^2 fails at its middle term, and so does the same
+    # line times x3; the list is the same for both orders of the two lines
+    lower = {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 3}
+    upper = {(2, 0, 1): 1, (1, 1, 1): 1, (0, 2, 1): 3}
+    for first, second in ((lower, upper), (upper, lower)):
+        h = Polynomial(3, {**first, **second})
+        assert root_direction_violations(h) == [((1, 1, 0), 1, 2), ((1, 1, 1), 1, 2)]
+
+
+def test_bool_exponents_are_stored_as_ints():
+    # True == 1, so the two are one polynomial, and its witness is plain ints
+    h = Polynomial(2, {(True, False): -1})
+    assert h == Polynomial(2, {(1, 0): -1})
+    assert [type(e) for e in next(iter(h.terms))] == [int, int]
+    certificate = lorentzian_certify(h)
+    assert certificate.failure == NegativeCoefficient((1, 0))
+    assert verify_certificate(h, certificate)
 
 
 @st.composite

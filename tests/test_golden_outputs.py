@@ -55,11 +55,18 @@ CASES = [
 ]
 
 
-def _run(argv):
+def tree_env():
+    """The environment with this tree's ``src`` first on ``PYTHONPATH``, so a
+    subprocess imports the package under test, installed or not."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _run(argv):
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, check=False
+        [sys.executable, *argv], cwd=ROOT, env=tree_env(), capture_output=True, check=False
     )
 
 

@@ -458,8 +458,8 @@ class TestKeyPolynomials:
 
 
 def test_generators_are_pinned():
-    # sha256 of every term map, insertion order included: the order decides
-    # which root-direction violation an inequality sweep reports first.  The
+    # sha256 of every term map, insertion order included only as a
+    # fingerprint of the generators: no answer depends on the order.  The
     # caches are shared the way a sweep shares them.
     digest = hashlib.sha256()
     schubert_cache, grothendieck_cache = {}, {}

@@ -33,6 +33,7 @@ from lorentzpoly.sweeps import (
 from lorentzpoly.symmetric import Partition, SkewShape
 
 from second_routes import schur_p_by_marked_tableaux, skew_schur_by_tableaux
+from test_golden_outputs import tree_env
 
 
 PERMUTATION_FAMILIES = (
@@ -47,6 +48,7 @@ def lorentz(*args, stdin=None):
         input=stdin,
         capture_output=True,
         text=True,
+        env=tree_env(),
     )
     return result
 
@@ -262,13 +264,14 @@ class TestSweeps:
         assert memoized == unmemoized
 
     def test_inertia_table_eliminates_each_hessian_once(self, monkeypatch):
-        # the same report with the inertia table as with one that never
-        # stores, from fewer eliminations: 53 distinct Hessians among the
-        # 422 that the normalized Schubert polynomials of S5 hand the certifier
+        # the same report with the set of passed Hessians as with one that
+        # never stores, from fewer eliminations: 53 distinct Hessians among
+        # the 422 that the normalized Schubert polynomials of S5 hand the
+        # certifier
         import lorentzpoly.certify as certify_module
 
-        class Forgetful(dict):
-            def __setitem__(self, key, value):
+        class Forgetful(set):
+            def add(self, key):
                 pass
 
         eliminated = []
@@ -282,7 +285,7 @@ class TestSweeps:
         spec = SweepSpec("schubert", "certify", SweepBounds(n=5))
         memoized = run_sweep(spec).to_dict()
         with_table = len(eliminated)
-        monkeypatch.setitem(sweeps._CACHES, "inertias", Forgetful())
+        monkeypatch.setitem(sweeps._CACHES, "passed", Forgetful())
         eliminated.clear()
         unmemoized = run_sweep(spec).to_dict()
         assert (with_table, len(eliminated)) == (53, 422)
@@ -765,7 +768,7 @@ def test_dead_worker_ends_the_sweep():
     # a worker's death is no instance's failure: the sweep ends with exit 1,
     # one error line and no report, where a pool once waited for it forever
     result = subprocess.run([sys.executable, "-c", DEAD_WORKER], capture_output=True,
-                            text=True, timeout=60)
+                            text=True, timeout=60, env=tree_env())
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "error: a sweep worker stopped before the sweep ended\n")
 
