@@ -128,6 +128,19 @@ Lorentzian polynomial is Lorentzian (Branden-Huh, Lorentzian polynomials,
 2020).  The Hessians of L N(p) are read off the scaled terms as above, so
 the certificate of N(p), witness included, comes from these integers.
 
+A flat normalized target needs no Hessian.  For every M-convex set J, the
+polynomial sum_{e in J} x^e / e! is Lorentzian (Branden-Huh, Theorem 3.10).
+The scaled map c = L p of a normalized target gives L N(p) = sum c_e x^e / e!,
+which is c times that sum over its support S exactly when every c_e is one
+value c, and c > 0 once the signs have passed; so when the scaled
+coefficients are all equal and S is M-convex, N(p) is Lorentzian and the
+certifier returns before the tied pairs and the Hessians.  The return comes
+after the M-convexity test, so a flat target on a support that is not
+M-convex keeps its exchange witness (N(x1^2 + x2^2) fails at ((2, 0),
+(0, 2), 1)), and only with ``normalize`` set: a raw flat polynomial is
+sum c x^e, not a sum over x^e / e!, and x1^2 + x1 x2 + x2^2 fails its
+Hessian.  Every other target takes the Hessian route unchanged.
+
 A certificate is a function of the arity, the ``normalize`` flag and the
 scaled integer map alone.  Past the homogeneity check, the certifier reads
 nothing else: the signs and the negative witness come from the map, the
@@ -737,7 +750,9 @@ def lorentzian_certify(
     support, then the spectrum of every order-(d-2) derivative quadratic
     form.  The first failing multiset in lexicographic order is reported.
     With ``normalize`` set, the certificate is that of ``normalize(poly)``,
-    read off the integer-scaled terms of ``poly`` without building N(poly).
+    read off the integer-scaled terms of ``poly`` without building N(poly);
+    when those terms are all equal, N(poly) is decided Lorentzian once its
+    support is M-convex, and no Hessian is built (see the module notes).
     A ``cache`` dict keeps each certificate under its arity, the flag and
     that integer map, of any degree, and a target with an equal key is
     answered from it.  A ``supports`` dict is handed to ``m_convex_failure``
@@ -773,6 +788,8 @@ def _certify_terms(arity: int, degree, coeffs: dict, normalize: bool,
     witness = m_convex_failure(coeffs, supports)
     if witness is not None:
         return LorentzCertificate(arity, degree, SupportNotMConvex(*witness))
+    if normalize and len(set(coeffs.values())) == 1:
+        return LorentzCertificate(arity, degree)  # flat on an M-convex support (Branden-Huh)
 
     if degree is not None and degree >= 2:
         n = arity

@@ -250,10 +250,11 @@ def _signed_components(payload, raw):
 # answers of every family (keyed on the support with its constant
 # coordinates dropped, translated to the origin), and the set of the
 # Hessians that passed in every certify-mode target (each as its exact
-# matrix), emptied when one ``run_sweep`` starts and when it returns.  The
-# two permutation tables hold one root path of the descent tree, at most
-# n(n-1)/2 + 1 term maps; the others grow with the sweep.  Inserts are
-# idempotent, so concurrent workers each filling their own copy agree.
+# matrix; a flat normalized target builds none and adds nothing), emptied
+# when one ``run_sweep`` starts and when it returns.  The two permutation
+# tables hold one root path of the descent tree, at most n(n-1)/2 + 1 term
+# maps; the others grow with the sweep.  Inserts are idempotent, so
+# concurrent workers each filling their own copy agree.
 _CACHES = {
     "schubert": RootPath(), "grothendieck": RootPath(), "schur": {}, "schur_p": {},
     "certify": {}, "supports": {}, "passed": set(),
@@ -279,7 +280,10 @@ class Family:
     aside, so every family, in certify and ``support_only`` mode alike,
     hands ``_CACHES["supports"]`` to ``m_convex_failure``.  Hessians repeat
     across the targets of a sweep, rarely within one, so every certify-mode
-    target shares the set ``_CACHES["passed"]`` of the Hessians that passed.
+    target shares the set ``_CACHES["passed"]`` of the Hessians that passed;
+    a normalized target whose scaled coefficients are all equal, such as a
+    zero-one Schubert or key polynomial, is certified from its support and
+    adds nothing to it.
     The permutation families yield S_n in descent-tree preorder and keep
     their term maps in ``RootPath`` tables, which hold only the path from
     w_0 to the current instance; a serial sweep of all of S_n applies one

@@ -1079,6 +1079,97 @@ def test_normalize_flag_keeps_the_symmetry_reduction(h):
     assert lorentzian_certify(h, normalize=True) == lorentzian_certify(normalize(h))
 
 
+def _check_flat_target(support, c):
+    """h = c sum_{e in support} x^e certifies with ``normalize`` set as
+    normalize(h) does raw, through the Hessians; on an M-convex support,
+    the derivative oracle finds no failing Hessian of normalize(h)."""
+    n = len(next(iter(support)))
+    h = Polynomial(n, {e: c for e in support})
+    certificate = lorentzian_certify(h, normalize=True)
+    assert certificate == lorentzian_certify(normalize(h))
+    if is_m_convex(support):
+        assert certificate.is_lorentzian
+        assert first_hessian_failure_by_derivatives(normalize(h)) is None
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_flat_normalized_targets_match_the_hessian_route(n, d):
+    # every nonempty subset J of the exponents of degree d in n variables:
+    # N(c sum_J x^e) = c sum_J x^e / e! is Lorentzian for M-convex J
+    # (Branden-Huh, Theorem 3.10), and the certifier skips its Hessians
+    simplex = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+    for size in range(1, len(simplex) + 1):
+        for support in itertools.combinations(simplex, size):
+            for c in (Fraction(1), Fraction(3, 2)):
+                _check_flat_target(support, c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(raised_products_of_linear_forms(), block_symmetric_forms()), positive_rationals)
+def test_flat_normalized_targets_on_generated_supports(h, c):
+    _check_flat_target(list(h.terms), c)
+
+
+class TestFlatShortcut:
+    """A normalized target with equal scaled coefficients and an M-convex
+    support is certified before the tied pairs and the Hessians; every
+    other target reaches them."""
+
+    S_1432 = schubert(Permutation((1, 4, 3, 2)))  # five terms, each coefficient 1
+
+    @pytest.fixture
+    def tied_calls(self, monkeypatch):
+        import lorentzpoly.certify as certify_module
+
+        calls = []
+        route = certify_module._tied_pairs
+
+        def counted(coeffs, n):
+            calls.append(n)
+            return route(coeffs, n)
+
+        monkeypatch.setattr(certify_module, "_tied_pairs", counted)
+        return calls
+
+    def test_flat_normalized_target_skips_the_hessians(self, monkeypatch):
+        import lorentzpoly.certify as certify_module
+
+        def unreachable(coeffs, n):
+            raise AssertionError("a flat normalized target reached the Hessian stage")
+
+        monkeypatch.setattr(certify_module, "_tied_pairs", unreachable)
+        assert set(self.S_1432.terms.values()) == {1}
+        assert lorentzian_certify(self.S_1432, normalize=True) == LorentzCertificate(4, 3)
+
+    def test_raw_flat_target_takes_the_hessian_route(self, tied_calls):
+        assert lorentzian_certify(self.S_1432).failure == HessianFailure(
+            (3,), InertiaSignature(2, 0, 2))
+        # x1^2 + x1 x2 + x2^2, the quadratic counterexample
+        assert lorentzian_certify(schur((2, 0), 2)).failure == HessianFailure(
+            (), InertiaSignature(2, 0, 0))
+        assert tied_calls == [4, 2]
+
+    def test_flat_support_that_is_not_m_convex_keeps_its_witness(self, tied_calls):
+        certificate = lorentzian_certify(poly("vars: 2\nx1^2 + x2^2"), normalize=True)
+        assert certificate.failure == SupportNotMConvex((2, 0), (0, 2), 1)
+        assert tied_calls == []
+
+    def test_negated_coefficient_fails_the_signs(self, tied_calls):
+        terms = dict(self.S_1432.terms)
+        terms[(1, 1, 1, 0)] = -terms[(1, 1, 1, 0)]
+        certificate = lorentzian_certify(Polynomial(4, terms), normalize=True)
+        assert certificate.failure == NegativeCoefficient((1, 1, 1, 0))
+        assert tied_calls == []
+
+    def test_doubled_coefficient_reaches_the_tied_pairs(self, tied_calls):
+        terms = dict(self.S_1432.terms)
+        terms[(1, 1, 1, 0)] *= 2
+        h = Polynomial(4, terms)
+        certificate = lorentzian_certify(h, normalize=True)
+        assert tied_calls == [4]
+        assert certificate == lorentzian_certify(normalize(h))
+
+
 # degrees 2^k - 3 .. 2^k - 1 for k = 3, 4: the packed Hessian keys hold
 # fields of (d + 2).bit_length() + 1 bits, which grow at d = 6 and d = 14
 HESSIAN_EDGE_DEGREES = [5, 6, 7, 13, 14, 15]

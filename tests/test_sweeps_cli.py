@@ -265,9 +265,10 @@ class TestSweeps:
 
     def test_inertia_table_eliminates_each_hessian_once(self, monkeypatch):
         # the same report with the set of passed Hessians as with one that
-        # never stores, from fewer eliminations: 53 distinct Hessians among
-        # the 422 that the normalized Schubert polynomials of S5 hand the
-        # certifier
+        # never stores, from fewer eliminations: of the normalized targets of
+        # S5, those with equal coefficients are certified without Hessians,
+        # which leaves 13 eliminations (10 distinct) for the Schubert
+        # polynomials and 212 (123 distinct) for the Grothendieck components
         import lorentzpoly.certify as certify_module
 
         class Forgetful(set):
@@ -282,16 +283,19 @@ class TestSweeps:
             return route(rows)
 
         monkeypatch.setattr(certify_module, "_inertia_int", counted)
-        spec = SweepSpec("schubert", "certify", SweepBounds(n=5))
-        memoized = run_sweep(spec).to_dict()
-        with_table = len(eliminated)
-        monkeypatch.setitem(sweeps._CACHES, "passed", Forgetful())
-        eliminated.clear()
-        unmemoized = run_sweep(spec).to_dict()
-        assert (with_table, len(eliminated)) == (53, 422)
-        memoized.pop("wall_time_s")
-        unmemoized.pop("wall_time_s")
-        assert memoized == unmemoized
+        for family, counts in (("schubert", (10, 13)), ("grothendieck", (123, 212))):
+            spec = SweepSpec(family, "certify", SweepBounds(n=5))
+            eliminated.clear()
+            memoized = run_sweep(spec).to_dict()
+            with_table = len(eliminated)
+            with monkeypatch.context() as patch:
+                patch.setitem(sweeps._CACHES, "passed", Forgetful())
+                eliminated.clear()
+                unmemoized = run_sweep(spec).to_dict()
+            assert (family, with_table, len(eliminated)) == (family, *counts)
+            memoized.pop("wall_time_s")
+            unmemoized.pop("wall_time_s")
+            assert memoized == unmemoized
 
     @pytest.mark.parametrize("family, mode, n, only", [
         *[(family, mode, 6, None) for family in MEMO_FAMILIES for mode in MODES],
