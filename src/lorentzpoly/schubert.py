@@ -37,7 +37,13 @@ as int coefficients per tuple of the interval.
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, _factorial_product, _int_count, _int_entries
+from .polynomials import (
+    _SMALL_FRACTIONS,
+    Polynomial,
+    _factorial_product,
+    _int_count,
+    _int_entries,
+)
 
 
 class Permutation:
@@ -337,11 +343,6 @@ def _schubert_terms(w: Permutation, cache) -> dict:
 
 def _grothendieck_terms(w: Permutation, cache) -> dict:
     return _descent_recursion(w.one_line, _pi_terms, _staircase_terms, cache)
-
-
-# The Fractions of small ints, shared by every term that carries one; at S7
-# they cover 99.9 % of Grothendieck terms and every Schubert term
-_SMALL_FRACTIONS = {c: Fraction(c) for c in range(-64, 65)}
 
 
 def _polynomial(arity: int, terms: dict) -> Polynomial:

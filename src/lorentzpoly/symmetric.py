@@ -6,13 +6,14 @@ polynomial in x_1..x_m is a sum, over the shapes left when a horizontal
 strip is removed, of the polynomial in x_1..x_{m-1} times a power of x_m
 (Macdonald, *Symmetric Functions and Hall Polynomials*, I (5.11) and III
 sections 5 and 8).  The levels are built from one variable up, with int
-coefficients, and each coefficient becomes a ``Fraction`` once, at the end;
-the cost is the number of monomials met on the way, not the number of
-tableaux.  A caller that builds many shapes passes a ``cache`` dict, which
-keeps every level below the one asked for (a sweep keeps one per family
-and empties it when the sweep ends).  Kostka numbers are the Schur rule
-read at one weight.  The tableau walks these replace live with the tests
-as cross-checks.
+coefficients, and each coefficient becomes a ``Fraction`` once, at the end,
+taken from the shared table of small ones when it is in -64..64; the cost
+is the number of monomials met on the way, not the number of tableaux.  A
+caller that builds many shapes passes a ``cache`` dict, which keeps every
+level below the one asked for (a sweep keeps one per family and empties it
+when the sweep ends).  Kostka numbers are the Schur rule read at one
+weight.  The tableau walks these replace live with the tests as
+cross-checks.
 
 Also here: the type A Kostant partition function K and the normalized
 truncated character of a universal highest-weight module, both read off
@@ -25,7 +26,13 @@ check K against a bounded knapsack over the roots.
 import itertools
 from fractions import Fraction
 
-from .polynomials import Polynomial, _factorial_product, _int_count, _int_entries
+from .polynomials import (
+    _SMALL_FRACTIONS,
+    Polynomial,
+    _factorial_product,
+    _int_count,
+    _int_entries,
+)
 
 
 class Partition:
@@ -180,8 +187,9 @@ def _branch(top, m: int, below, memo, key) -> Polynomial:
             if memo is not None and k < m:
                 memo[key(shape, k)] = terms
         table = level
+    small = _SMALL_FRACTIONS
     return Polynomial._raw(
-        m, {e + zeros[len(e):]: Fraction(c) for e, c in table.get(top, {}).items()}
+        m, {e + zeros[len(e):]: small.get(c) or Fraction(c) for e, c in table.get(top, {}).items()}
     )
 
 

@@ -9,7 +9,7 @@ import random
 import re
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -25,6 +25,7 @@ from lorentzpoly.certify import (
     _inertia_int,
     _multiset_indices,
     _packed,
+    _pairwise_scan_shape,
     _scaled_coefficients,
     _support_key,
     bivariate_ulc,
@@ -1079,6 +1080,50 @@ def test_normalize_flag_keeps_the_symmetry_reduction(h):
     assert lorentzian_certify(h, normalize=True) == lorentzian_certify(normalize(h))
 
 
+@st.composite
+def with_constant_coordinates(draw, polynomials):
+    """A polynomial of ``polynomials`` with zero to two coordinates inserted at
+    drawn positions, each held at one drawn exponent over every term."""
+    h = draw(polynomials)
+    for _ in range(draw(st.integers(0, 2))):
+        at, value = draw(st.integers(0, h.arity)), draw(st.integers(0, 2))
+        h = Polynomial(h.arity + 1, {e[:at] + (value,) + e[at:]: c for e, c in h.terms.items()})
+    return h
+
+
+SQUARE_FREE_QUADRATIC = Polynomial(6, {
+    tuple(int(k in pair) for k in range(6)): 1 for pair in itertools.combinations(range(6), 2)
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(with_constant_coordinates(st.one_of(
+    homogeneous_int_maps(), with_mixed_degrees(), with_negative_coefficient(),
+    with_support_gap(), raised_products_of_linear_forms(), block_symmetric_forms(),
+)))
+@example(SQUARE_FREE_QUADRATIC)  # 15 points in 6 varying coordinates: the scan alone
+@example(normalize(schur((2, 1), 3)))  # 7 points in 3: the rank test first
+def test_scan_shape_predicts_the_route(h):
+    # `lorentz certify` refuses a support above MAX_SCAN_POINTS exactly when
+    # _pairwise_scan_shape names it, which must be when the scan runs alone
+    runs = dict.fromkeys(("_rank_m_convex", "_exchange_scan"), 0)
+
+    def counted(name, route):
+        def run(*args):
+            runs[name] += 1
+            return route(*args)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in runs:
+            patch.setattr(lorentzpoly.certify, name,
+                          counted(name, getattr(lorentzpoly.certify, name)))
+        lorentzian_certify(h)
+    alone = runs["_exchange_scan"] and not runs["_rank_m_convex"]
+    varying = sum(min(col) != max(col) for col in zip(*h.terms))
+    assert _pairwise_scan_shape(h) == ((len(h.terms), varying) if alone else None)
+
+
 def _check_flat_target(support, c):
     """h = c sum_{e in support} x^e certifies with ``normalize`` set as
     normalize(h) does raw, through the Hessians; on an M-convex support,
@@ -1375,3 +1420,32 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], (path.name, asserts)
+
+
+def test_package_has_no_dead_private_helpers():
+    # every top-level private function or class of a module is named in some
+    # other top-level statement of the package: a call, an attribute or an
+    # import; a helper left behind by a refactor fails here
+    package = pathlib.Path(lorentzpoly.__file__).parent
+    statements = []  # (module, node, the names it reads)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            statements.append((path.name, node, names))
+    helpers = [
+        (module, node) for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    assert helpers
+    dead = [
+        (module, node.name) for module, node in helpers
+        if not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+    assert dead == []

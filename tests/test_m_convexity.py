@@ -3,7 +3,8 @@
 ``m_convex_failure`` decides through the rank function of the support's
 base polyhedron and runs the exchange scan only for the witness, with
 ``certify._exchange_scan`` checking one point against bit sets of the
-positions of all later points.  The slow oracle,
+positions of all later points.  Both read the columns of the sorted
+support, and the scan names its witness by positions.  The slow oracle,
 ``second_routes.exchange_scan_by_pairs``, builds and looks up the moved
 points of every pair.  All must give the same verdict and the same first
 witness on every input, and so must ``m_convex_failure`` answering from a
@@ -50,7 +51,17 @@ def assert_agrees(points):
     """Same result as the scan; the rank test alone gives the scan's verdict."""
     expected = scan(points)
     assert m_convex_failure(points) == expected
-    assert certify._rank_m_convex(sorted(points)) == (expected is None)
+    assert certify._rank_m_convex(list(zip(*sorted(points)))) == (expected is None)
+
+
+def scan_points(pts):
+    """``certify._exchange_scan`` on the columns of the sorted ``pts``, its
+    positions read as points."""
+    found = certify._exchange_scan(list(zip(*pts)))
+    if found is None:
+        return None
+    a, b, i = found
+    return (pts[a], pts[b], i)
 
 
 def compositions(total, n):
@@ -140,7 +151,7 @@ def rank_test_skipped(draw):
 @given(st.one_of(thinned_products(), edited_products(), rank_test_skipped()))
 def test_bitmask_scan_names_the_oracle_witness(points):
     pts = sorted(points)
-    assert certify._exchange_scan(pts) == exchange_scan_by_pairs(pts, set(points))
+    assert scan_points(pts) == exchange_scan_by_pairs(pts, set(points))
 
 
 def insert_constants(draw, points, count):
@@ -233,7 +244,7 @@ def test_witness_led_by_the_earlier_point(points):
     the pair passes at its first differing coordinate and fails later."""
     witness = exchange_scan_by_pairs(points, set(points))
     assert witness[0] < witness[1]
-    assert certify._exchange_scan(points) == witness
+    assert scan_points(points) == witness
 
 
 def multiplied(support, form):
@@ -332,7 +343,7 @@ def wide_segments(draw):
 @given(st.one_of(products_past_a_word(), square_free_supports(), wide_segments()))
 def test_bitset_scan_past_one_machine_word(points):
     pts = sorted(points)
-    assert certify._exchange_scan(pts) == exchange_scan_by_pairs(pts, points)
+    assert scan_points(pts) == exchange_scan_by_pairs(pts, points)
 
 
 @LARGE
@@ -343,7 +354,7 @@ def test_bitset_scan_names_a_witness_past_the_first_point(points):
     pts = sorted(points)
     witness = exchange_scan_by_pairs(pts, points)
     assert witness is not None and min(map(pts.index, witness[:2])) > 0
-    assert certify._exchange_scan(pts) == witness
+    assert scan_points(pts) == witness
 
 
 @GENERATED
@@ -448,7 +459,7 @@ def test_rank_function_must_be_submodular(points):
     """Sets that are all the integer points of {y(X) <= r(X), y(V) = r(V)}
     without being M-convex: only the submodularity of r rejects them."""
     assert scan(set(points)) is not None
-    assert certify._rank_m_convex(points) is False
+    assert certify._rank_m_convex(list(zip(*points))) is False
 
 
 def _refuse(*args):

@@ -245,9 +245,9 @@ class TestSweeps:
         decided = []
 
         def counted(route):
-            def run(pts):
+            def run(columns):
                 decided.append(None)
-                return route(pts)
+                return route(columns)
             return run
 
         for name in ("_rank_m_convex", "_exchange_scan"):
