@@ -12,11 +12,13 @@ parser blanks comments to spaces of the same length, reads the whole body
 with one regex match per term (sign, numerator, denominator and the run of
 factors), and likewise makes one Fraction per term.  Only a malformed text
 is read again, term by term, to name its first error with line and column.
+The generators build {exponent: int} maps and hand them to
+``Polynomial._from_ints``, the one place their Fractions are made.
 
 The module also provides the normalization operator ``normalize`` sending
-each monomial x^mu to x^mu / mu! (componentwise factorials), and the
-canonical text format used by the command line tools and the bundled
-corpus files.
+each monomial x^mu to x^mu / mu! (componentwise factorials), the only code
+that divides a coefficient by mu!, and the canonical text format used by
+the command line tools and the bundled corpus files.
 
 Variable indices in the public API are 1-based, matching the x1, x2, ...
 naming of the text format.
@@ -30,9 +32,9 @@ from fractions import Fraction
 
 Exponent = tuple[int, ...]
 
-# The Fractions of small ints, shared by every term that carries one: the
-# generators read their coefficients here, and at S7 the table covers
-# 99.9 % of Grothendieck terms and every Schubert term
+# The Fractions of small ints, shared by every term that carries one:
+# ``Polynomial._from_ints`` reads the generators' coefficients here, and at
+# S7 the table covers 99.9 % of Grothendieck terms and every Schubert term
 _SMALL_FRACTIONS = {c: Fraction(c) for c in range(-64, 65)}
 _ZERO = _SMALL_FRACTIONS[0]
 _ONE = _SMALL_FRACTIONS[1]
@@ -131,6 +133,13 @@ class Polynomial:
         poly.arity = arity
         poly.terms = terms
         return poly
+
+    @classmethod
+    def _from_ints(cls, arity: int, terms: dict) -> "Polynomial":
+        # Internal: a canonical {exponent: nonzero int} map, one Fraction per
+        # term, shared from the small-int table where it has one.
+        small = _SMALL_FRACTIONS
+        return cls._raw(arity, {e: small.get(c) or Fraction(c) for e, c in terms.items()})
 
     # -- constructors -------------------------------------------------
 

@@ -22,9 +22,11 @@ term maps {exponent: int}.  Multiplying by x_{i+1} or x_i shifts every
 exponent, so pi_i is one shift and one subtraction on the map before d_i,
 and the key operator a shift before d_i; no step builds a Polynomial.
 A memo passed as ``cache`` maps each tuple on the climbed path to its int
-map, and each generator makes one Fraction per term of its result, so no
-int reaches a Polynomial.  A sweep passes a ``RootPath`` memo and walks
-S_n in ``descent_tree`` order, so it holds one path of the tree at a time.
+map, and each generator hands the int map of its result to
+``Polynomial._from_ints``, which makes its Fractions; ``schubert_dual``
+hands the reflected map there and then to ``normalize``.  A sweep passes
+a ``RootPath`` memo and walks S_n in ``descent_tree`` order, so it holds
+one path of the tree at a time.
 No answer of the certifier depends on the order of the terms of a map.
 
 Degree polynomials sum, over saturated chains of the Bruhat order, the
@@ -35,15 +37,8 @@ as int coefficients per tuple of the interval.
 """
 
 import itertools
-from fractions import Fraction
 
-from .polynomials import (
-    _SMALL_FRACTIONS,
-    Polynomial,
-    _factorial_product,
-    _int_count,
-    _int_entries,
-)
+from .polynomials import Polynomial, _int_count, _int_entries, normalize
 
 
 class Permutation:
@@ -101,13 +96,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions."""
-        line = self.one_line
-        return sum(
-            1
-            for i in range(len(line))
-            for j in range(i + 1, len(line))
-            if line[i] > line[j]
-        )
+        return sum(lehmer_code(self))
 
     def swap_positions(self, i: int, j: int) -> "Permutation":
         """Right multiplication by the transposition of positions i < j."""
@@ -161,8 +150,9 @@ def grassmannian_for(kappa, m: int, n: int) -> Permutation:
     parts = parts + (0,) * (m - len(parts))
     if len(parts) > m:
         raise ValueError(f"kappa has more than {m} parts")
-    if n < m + parts[0]:
-        raise ValueError(f"need n >= {m + parts[0]}, got {n}")
+    width = parts[0] if parts else 0  # m = 0: the code is all zeros
+    if n < m + width:
+        raise ValueError(f"need n >= {m + width}, got {n}")
     code = tuple(parts[m - 1 - i] for i in range(m)) + (0,) * (n - m)
     w = permutation_from_code(code)
     if any(d != m for d in w.descents()):
@@ -345,20 +335,14 @@ def _grothendieck_terms(w: Permutation, cache) -> dict:
     return _descent_recursion(w.one_line, _pi_terms, _staircase_terms, cache)
 
 
-def _polynomial(arity: int, terms: dict) -> Polynomial:
-    """The Polynomial of an int term map, one Fraction per term."""
-    small = _SMALL_FRACTIONS
-    return Polynomial._raw(arity, {e: small.get(c) or Fraction(c) for e, c in terms.items()})
-
-
 def schubert(w: Permutation, cache: dict | None = None) -> Polynomial:
     """Schubert polynomial of w, via divided differences from the staircase."""
-    return _polynomial(w.n, _schubert_terms(w, cache))
+    return Polynomial._from_ints(w.n, _schubert_terms(w, cache))
 
 
 def grothendieck(w: Permutation, cache: dict | None = None) -> Polynomial:
     """Grothendieck polynomial of w, via isobaric operators from the staircase."""
-    return _polynomial(w.n, _grothendieck_terms(w, cache))
+    return Polynomial._from_ints(w.n, _grothendieck_terms(w, cache))
 
 
 def schubert_dual(w: Permutation, cache: dict | None = None) -> Polynomial:
@@ -366,11 +350,9 @@ def schubert_dual(w: Permutation, cache: dict | None = None) -> Polynomial:
     c x^e of S_w.  The degree of S_w in x_i is at most n - i, so every mu is
     nonnegative."""
     top = w.n - 1
-    terms = {}
-    for exponent, coeff in _schubert_terms(w, cache).items():
-        mu = tuple(top - e for e in exponent)
-        terms[mu] = Fraction(coeff, _factorial_product(mu))
-    return Polynomial._raw(w.n, terms)
+    reflected = {tuple(top - e for e in exponent): coeff
+                 for exponent, coeff in _schubert_terms(w, cache).items()}
+    return normalize(Polynomial._from_ints(w.n, reflected))
 
 
 def grothendieck_component(w: Permutation, k: int) -> Polynomial:
@@ -395,7 +377,7 @@ def homogeneous_grothendieck(w: Permutation, cache: dict | None = None) -> Polyn
     for e, c in g.items():
         size = sum(e)
         terms[e + (d - size,)] = -c if (size - ell) % 2 else c
-    return _polynomial(w.n + 1, terms)
+    return Polynomial._from_ints(w.n + 1, terms)
 
 
 def key_polynomial(mu) -> Polynomial:
@@ -410,7 +392,9 @@ def key_polynomial(mu) -> Polynomial:
         raise ValueError("composition entries must be nonnegative")
     if not mu:
         raise ValueError("empty composition")
-    return _polynomial(len(mu), _descent_recursion(mu, _key_terms, lambda top: {top: 1}, None))
+    return Polynomial._from_ints(
+        len(mu), _descent_recursion(mu, _key_terms, lambda top: {top: 1}, None)
+    )
 
 
 def _covers_below(line: tuple):
@@ -448,4 +432,4 @@ def degree_polynomial(w: Permutation) -> Polynomial:
     product of Chevalley multiplicities; a polynomial in n - 1 variables
     (one variable when n = 1, where the only chain is empty)."""
     arity = max(1, w.n - 1)
-    return _polynomial(arity, _chain_sum(w.one_line, arity, {}))
+    return Polynomial._from_ints(arity, _chain_sum(w.one_line, arity, {}))

@@ -6,9 +6,9 @@ polynomial in x_1..x_m is a sum, over the shapes left when a horizontal
 strip is removed, of the polynomial in x_1..x_{m-1} times a power of x_m
 (Macdonald, *Symmetric Functions and Hall Polynomials*, I (5.11) and III
 sections 5 and 8).  The levels are built from one variable up, with int
-coefficients, and each coefficient becomes a ``Fraction`` once, at the end,
-taken from the shared table of small ones when it is in -64..64; the cost
-is the number of monomials met on the way, not the number of tableaux.  A
+coefficients, and the int map of the top level goes to
+``Polynomial._from_ints``, which makes its Fractions; the cost is the
+number of monomials met on the way, not the number of tableaux.  A
 caller that builds many shapes passes a ``cache`` dict, which keeps every
 level below the one asked for (a sweep keeps one per family and empties it
 when the sweep ends).  Kostka numbers are the Schur rule read at one
@@ -24,15 +24,8 @@ check K against a bounded knapsack over the roots.
 """
 
 import itertools
-from fractions import Fraction
 
-from .polynomials import (
-    _SMALL_FRACTIONS,
-    Polynomial,
-    _factorial_product,
-    _int_count,
-    _int_entries,
-)
+from .polynomials import Polynomial, _int_count, _int_entries, normalize
 
 
 class Partition:
@@ -187,10 +180,7 @@ def _branch(top, m: int, below, memo, key) -> Polynomial:
             if memo is not None and k < m:
                 memo[key(shape, k)] = terms
         table = level
-    small = _SMALL_FRACTIONS
-    return Polynomial._raw(
-        m, {e + zeros[len(e):]: small.get(c) or Fraction(c) for e, c in table.get(top, {}).items()}
-    )
+    return Polynomial._from_ints(m, {e + zeros[len(e):]: c for e, c in table.get(top, {}).items()})
 
 
 def _horizontal_strips(mu: tuple, nu: tuple, rows: int):
@@ -270,8 +260,8 @@ def complete_homogeneous(k: int, m: int) -> Polynomial:
         exponent = [0] * m
         for i in combo:
             exponent[i] += 1
-        terms[tuple(exponent)] = Fraction(1)
-    return Polynomial(m, terms)
+        terms[tuple(exponent)] = 1
+    return Polynomial._from_ints(m, terms)
 
 
 def complement_partition(lam, m: int, ell: int) -> Partition:
@@ -407,9 +397,9 @@ def verma_truncated_normalized(delta) -> Polynomial:
 
     The product over pairs i > j of 1 + x_i/x_j + (x_i/x_j)^2 + ..., times
     x^delta, with only its terms of nonnegative exponents kept and then
-    normalized: the coefficient at mu is K(mu - delta) / mu!, from
-    ``_kostant_counts``, and each becomes a Fraction once.  The result is
-    homogeneous of degree sum(delta).
+    normalized: the coefficient at mu is K(mu - delta) / mu!, ``normalize``
+    of the counts of ``_kostant_counts``.  The result is homogeneous of
+    degree sum(delta).
     """
     delta = _int_entries(delta)
     if any(x < 0 for x in delta):
@@ -417,5 +407,4 @@ def verma_truncated_normalized(delta) -> Polynomial:
     m = len(delta)
     if m < 1:
         raise ValueError("need at least one variable")
-    return Polynomial._raw(m, {mu: Fraction(count, _factorial_product(mu))
-                               for mu, count in _kostant_counts(delta).items()})
+    return normalize(Polynomial._from_ints(m, _kostant_counts(delta)))

@@ -1449,3 +1449,29 @@ def test_package_has_no_dead_private_helpers():
         if not any(node.name in names for _, other, names in statements if other is not node)
     ]
     assert dead == []
+
+
+def test_only_polynomials_makes_fractions_and_divides_by_factorials():
+    # the generators hand int maps to Polynomial._from_ints and divide by
+    # mu! only through normalize; the small-Fraction table and the factorial
+    # product stay private to polynomials.py
+    package = pathlib.Path(lorentzpoly.__file__).parent
+    private = {"_SMALL_FRACTIONS", "_factorial_product"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name in ("schubert.py", "symmetric.py"):
+            fraction_imports = [
+                node for node in ast.walk(tree)
+                if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+                or (isinstance(node, ast.Import)
+                    and any(alias.name == "fractions" for alias in node.names))
+            ]
+            assert fraction_imports == [], path.name
+        if path.name != "polynomials.py":
+            named = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            }
+            assert named & private == set(), path.name

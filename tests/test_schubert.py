@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from lorentzpoly.polynomials import Polynomial, parse_polynomial
+from lorentzpoly.polynomials import Polynomial, normalize, parse_polynomial
 from lorentzpoly.schubert import (
     Permutation,
     RootPath,
@@ -57,6 +57,11 @@ class TestPermutation:
         assert Permutation((3, 2, 1)).length() == 3
         assert Permutation.identity(4).length() == 0
         assert Permutation.longest(4).length() == 6
+        for n in range(1, 7):  # against the pairs i < j with w(i) > w(j)
+            for w in all_permutations(n):
+                line = w.one_line
+                pairs = sum(1 for i, j in itertools.combinations(range(n), 2) if line[i] > line[j])
+                assert w.length() == pairs, w
 
     def test_lehmer_code(self):
         assert lehmer_code(Permutation((3, 2, 1))) == (2, 1, 0)
@@ -351,6 +356,12 @@ class TestSchubertDual:
             dual = schubert_dual(w)
             assert dual.homogeneous_degree() == 4 * 3 - w.length()
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_normalized_dualize_of_schubert(self, n):
+        # the definition, through the public dualize at mu = (n-1, ..., n-1)
+        for w in all_permutations(n):
+            assert schubert_dual(w) == normalize(schubert(w).dualize((n - 1,) * n)), w
+
 
 class TestGrothendieck:
     def test_longest_is_staircase(self):
@@ -591,6 +602,14 @@ class TestGrassmannianAndPatterns:
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             grassmannian_for(Partition((3,)), 2, 4)
+
+    def test_no_rows_gives_the_identity(self):
+        # m = 0: the code is all zeros, and S_id = 1 = s_()
+        for n in (1, 3):
+            w = grassmannian_for((), 0, n)
+            assert w == Permutation.identity(n)
+            assert schubert(w) == Polynomial.constant(n, 1)
+        assert grassmannian_for(Partition(()), 0, 2) == Permutation.identity(2)
 
     def test_non_partition_rejected(self):
         # code (2, 1, 0, 0) has descents at 1 and 2; raised, not asserted
